@@ -2,7 +2,6 @@
 """Run the full comparison-map identity suite and report per identity.
 
 Usage: python scripts/verify_identities.py [--m-max M] [--n-max N]
-Set STEINER_LAB_THREADS to fan the independent families out over a pool.
 """
 
 import argparse

@@ -164,14 +164,6 @@ def compose(x, y, j):
     return CellTableau(x.complex, rows0, rows1)
 
 
-def compose_chain(factors):
-    """Left-to-right composite of [(cell, j), ...] starting from the first cell."""
-    (acc, _), rest = factors[0], factors[1:]
-    for cell, j in rest:
-        acc = compose(acc, cell, j)
-    return acc
-
-
 def map_cell(f, cell):
     """Entrywise image of a cell under a morphism of complexes."""
     if cell.complex != f.source:
@@ -226,11 +218,6 @@ def enumerate_cells(K, dim, coeff_bound=None):
             break
     cells.sort(key=lambda c: tuple(ch.coeffs for ch in c.x0 + c.x1))
     return CellEnumeration(tuple(cells), complete)
-
-
-def enumerate_cells_through(K, dim, coeff_bound=None):
-    """Enumerations for every dimension 0..dim (shares nothing; small inputs)."""
-    return [enumerate_cells(K, i, coeff_bound) for i in range(dim + 1)]
 
 
 @dataclass(frozen=True)

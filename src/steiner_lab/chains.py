@@ -183,18 +183,8 @@ class DirComplex:
             return self.basis[p]
         return ()
 
-    def elements(self, p=None):
-        if p is not None:
-            return tuple(BasisElement(t, p) for t in self.tokens(p))
-        return tuple(
-            BasisElement(t, q) for q in self.degrees() for t in self.basis[q]
-        )
-
     def degree_of(self, token):
         return self._degree_of[token]
-
-    def has_token(self, token):
-        return token in self._degree_of
 
     def contains_chain(self, chain):
         return all(self._degree_of.get(t) == chain.degree for t in chain.support())

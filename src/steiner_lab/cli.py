@@ -14,7 +14,14 @@ import sys
 
 from .cells import enumerate_cells
 from .chains import Chain, validate_complex
-from .nerves import nerve, over_slice, under_slice
+from .nerves import (
+    bisimplicial_comparison,
+    identity_simplicial_map,
+    nerve,
+    nerve_map,
+    over_slice,
+    under_slice,
+)
 from .retract import verify_suite
 from .serialize import (
     cell_to_json,
@@ -178,8 +185,6 @@ def cmd_slice_simplicial(args):
 
 
 def cmd_bisimplicial(args):
-    from .nerves import bisimplicial_comparison, identity_simplicial_map, nerve_map
-
     K = _load_complex(args.file)
     cap = args.cap_m + 1 + args.cap_n
     N = nerve(K, cap, args.coeff_bound)
@@ -296,7 +301,6 @@ def build_parser():
     p = sub.add_parser("nerve", help="nerve simplex tables")
     p.add_argument("file")
     p.add_argument("--cap", type=int, default=4)
-    p.add_argument("--counts", action="store_true")
     p.add_argument("--coeff-bound", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_nerve)

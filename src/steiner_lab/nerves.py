@@ -15,6 +15,7 @@ from .chains import AdcMorphism, Chain
 from .simplex import (
     MonotoneMap,
     all_monotone_maps,
+    c_delta,
     c_of_map,
     degeneracy_map,
     face_map,
@@ -113,11 +114,6 @@ class SimplicialMap:
 
     def __call__(self, n, x):
         return self.fn(n, x)
-
-    def compose(self, other):
-        return SimplicialMap(
-            other.src, self.dst, lambda n, x: self.fn(n, other.fn(n, x))
-        )
 
 
 def identity_simplicial_map(X):
@@ -219,8 +215,6 @@ def enumerate_morphisms(src, dst, fixed=None, coeff_bound=None):
 
 def hom_enumerate(n, K, coeff_bound=None):
     """All morphisms from the chains of the n-simplex into K."""
-    from .simplex import c_delta
-
     morphisms, _ = enumerate_morphisms(c_delta(n), K, coeff_bound=coeff_bound)
     return morphisms
 
@@ -296,6 +290,17 @@ def over_slice_projection(Y, y, m, slice_space):
     return SimplicialMap(slice_space, Y, fn)
 
 
+def _pairs_over_final_face(u, m, n, candidates):
+    """Pairs (y', x) of a candidate (m+1+n)-simplex y' of the target of
+    u: X -> Y and an n-simplex x of X such that y' has final n-face u(x),
+    listed by x, then by the order of the candidates."""
+    X, Y = u.src, u.dst
+    by_final = {}
+    for yp in candidates:
+        by_final.setdefault(Y.act(final_inclusion(m, n), yp), []).append(yp)
+    return [(yp, x) for x in X.simplices(n) for yp in by_final.get(u(n, x), [])]
+
+
 def map_under_slice(u, y, m):
     """The relative under-slice of a simplicial map u: X -> Y at an
     m-simplex y of Y: pairs (y', x) with initial face y and final face u(x)."""
@@ -305,15 +310,10 @@ def map_under_slice(u, y, m):
         raise ValueError("cap exceeded: the slice needs deeper tables")
 
     def level(n):
-        by_final = {}
-        for yp in Y.simplices(m + 1 + n):
-            if Y.act(initial_inclusion(m, n), yp) == y:
-                by_final.setdefault(Y.act(final_inclusion(m, n), yp), []).append(yp)
-        return [
-            (yp, x)
-            for x in X.simplices(n)
-            for yp in by_final.get(u(n, x), [])
-        ]
+        candidates = (
+            yp for yp in Y.simplices(m + 1 + n) if Y.act(initial_inclusion(m, n), yp) == y
+        )
+        return _pairs_over_final_face(u, m, n, candidates)
 
     def act(psi, pair):
         yp, x = pair
@@ -387,23 +387,6 @@ class BisimplicialTrunc:
     def act(self, phi, psi, x):
         return self._act_fn(phi, psi, x)
 
-    def column(self, m):
-        """The simplicial set S(m, .)."""
-        return SimplicialSetTrunc(
-            self.cap_n,
-            lambda n: self.simplices(m, n),
-            lambda psi, x: self.act(identity_map(m), psi, x),
-            label=f"{self.label}[{m},.]",
-        )
-
-    def row(self, n):
-        return SimplicialSetTrunc(
-            self.cap_m,
-            lambda m: self.simplices(m, n),
-            lambda phi, x: self.act(phi, identity_map(n), x),
-            label=f"{self.label}[.,{n}]",
-        )
-
     def diagonal(self):
         cap = min(self.cap_m, self.cap_n)
         return SimplicialSetTrunc(
@@ -426,14 +409,7 @@ def bisimplicial_comparison(u, cap_m, cap_n):
         raise ValueError("cap exceeded: deeper tables needed for S(u)")
 
     def level(m, n):
-        by_final = {}
-        for yp in Y.simplices(m + 1 + n):
-            by_final.setdefault(Y.act(final_inclusion(m, n), yp), []).append(yp)
-        return [
-            (yp, x)
-            for x in X.simplices(n)
-            for yp in by_final.get(u(n, x), [])
-        ]
+        return _pairs_over_final_face(u, m, n, Y.simplices(m + 1 + n))
 
     def act(phi, psi, pair):
         yp, x = pair

@@ -22,14 +22,14 @@ with the chains functor.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .chains import AdcMorphism, Chain, check_morphism, identity_morphism
 from .nerves import (
     SimplicialMap,
+    identity_simplicial_map,
     map_under_slice,
+    nerve,
     simplicial_map_failures,
 )
 from .simplex import (
@@ -48,7 +48,6 @@ from .simplex import (
 )
 from .slices import OplaxTransformation
 from .tensor import (
-    Pushout,
     pushout_complex,
     tensor_chains,
     tensor_complex,
@@ -307,7 +306,6 @@ class SliceRetract:
     small: object
     retraction: SimplicialMap
     section: SimplicialMap
-    _wedge: Pushout
 
     def homotopy(self, phi, pair):
         y, x = pair
@@ -325,8 +323,6 @@ def slice_retract_data(u, b, m):
         spine = MonotoneMap(1 + n, m + 1 + n, tuple(m + k for k in range(n + 2)))
         return (y.after(c_of_map(spine)), x)
 
-    wedge = wedge_pushout(m, 0)
-
     def s_fn(n, pair):
         y_prime, x = pair
         P = wedge_pushout(m, n)
@@ -340,7 +336,6 @@ def slice_retract_data(u, b, m):
         small,
         SimplicialMap(big, small, r_fn),
         SimplicialMap(small, big, s_fn),
-        wedge,
     )
 
 
@@ -381,17 +376,17 @@ def _first_difference(f, g):
     return ""
 
 
+def _identity(name, failures):
+    """The result of an identity, with its first failure as counterexample."""
+    return IdentityResult(name, not failures, failures[0] if failures else "")
+
+
 def _morphism_identity(name, lhs, rhs):
-    if lhs == rhs:
-        return IdentityResult(name, True)
-    return IdentityResult(name, False, _first_difference(lhs, rhs))
+    return _identity(name, [] if lhs == rhs else [_first_difference(lhs, rhs)])
 
 
 def _chain_map_result(name, f):
-    report = check_morphism(f)
-    if report.ok:
-        return IdentityResult(name, True)
-    return IdentityResult(name, False, report.problems[0])
+    return _identity(name, check_morphism(f).problems)
 
 
 def _cone_checks(n_max):
@@ -463,13 +458,7 @@ def _attachment_checks(m_max, n_max):
                         rhs = glue.after(kappa2)
                         if lhs != rhs:
                             failures.append(f"(m,n)=({m},{n}) phi={phi.image} psi={psi.image}")
-    out.append(
-        IdentityResult(
-            "cylinder attachment naturality",
-            not failures,
-            failures[0] if failures else "",
-        )
-    )
+    out.append(_identity("cylinder attachment naturality", failures))
     return out
 
 
@@ -484,7 +473,6 @@ def _fold_square_checks(n_max):
             tensor_injection(I, Kn, "0"),
             tensor_injection(I, Kn, "1"),
         )
-        _, fold = interval_fold()
         T = tensor_complex(I, Kn)
         images = {}
         for p in Kn.degrees():
@@ -555,11 +543,7 @@ def _wedge_checks(m_max, n_max):
                     rhs = glue.after(f2)
                     if lhs != rhs:
                         failures.append(f"(m,n,n')=({m},{n},{n2}) psi={psi.image}")
-    out.append(
-        IdentityResult(
-            "wedge projection naturality", not failures, failures[0] if failures else ""
-        )
-    )
+    out.append(_identity("wedge projection naturality", failures))
     return out
 
 
@@ -584,11 +568,7 @@ def _partial_wedge_checks(m_max, n_max):
             if partial_wedge_projection(m, n, constant_map(n, 1, 0)) != endo:
                 chain_failures.append(f"phi=0 endpoint (m,n)=({m},{n})")
     out.append(
-        IdentityResult(
-            "partial wedge projections: chain maps, endpoints, absorption",
-            not chain_failures,
-            chain_failures[0] if chain_failures else "",
-        )
+        _identity("partial wedge projections: chain maps, endpoints, absorption", chain_failures)
     )
     coherence_failures = []
     for m in range(m_max + 1):
@@ -606,19 +586,13 @@ def _partial_wedge_checks(m_max, n_max):
                                 f"(m,n,n')=({m},{n},{n2}) phi={phi.image} psi={psi.image}"
                             )
     out.append(
-        IdentityResult(
-            "partial wedge coherence with final-block operators",
-            not coherence_failures,
-            coherence_failures[0] if coherence_failures else "",
-        )
+        _identity("partial wedge coherence with final-block operators", coherence_failures)
     )
     return out
 
 
 def _retract_checks_on_nerve(K, m, cap, label, coeff_bound=None):
     """Section/retraction/homotopy identities on actual nerve tables."""
-    from .nerves import identity_simplicial_map, nerve
-
     out = []
     N = nerve(K, cap + m + 1, coeff_bound)
     u = identity_simplicial_map(N)
@@ -641,27 +615,9 @@ def _retract_checks_on_nerve(K, m, cap, label, coeff_bound=None):
                 hom_failures.append(f"{label}: h(1) != id at level {n}")
             if data.homotopy(constant_map(n, 1, 0), pair) != s(n, r(n, pair)):
                 sr_failures.append(f"{label}: h(0) != s.r at level {n}")
-    out.append(
-        IdentityResult(
-            f"retraction has section on {label}",
-            not rs_failures,
-            rs_failures[0] if rs_failures else "",
-        )
-    )
-    out.append(
-        IdentityResult(
-            f"homotopy endpoints on {label}",
-            not (hom_failures or sr_failures),
-            (hom_failures + sr_failures)[0] if hom_failures or sr_failures else "",
-        )
-    )
-    out.append(
-        IdentityResult(
-            f"strong retract square on {label}",
-            not square_failures,
-            square_failures[0] if square_failures else "",
-        )
-    )
+    out.append(_identity(f"retraction has section on {label}", rs_failures))
+    out.append(_identity(f"homotopy endpoints on {label}", hom_failures + sr_failures))
+    out.append(_identity(f"strong retract square on {label}", square_failures))
     out.append(
         IdentityResult(
             f"section is simplicial on {label}",
@@ -683,45 +639,24 @@ def _retract_checks_on_nerve(K, m, cap, label, coeff_bound=None):
                     rhs = data.homotopy(phi.compose(psi), data.big.act(psi, pair))
                     if lhs != rhs:
                         h_failures.append(f"{label}: homotopy not simplicial")
-    out.append(
-        IdentityResult(
-            f"homotopy is simplicial on {label}",
-            not h_failures,
-            h_failures[0] if h_failures else "",
-        )
-    )
+    out.append(_identity(f"homotopy is simplicial on {label}", h_failures))
     return out
 
 
 def verify_suite(m_max, n_max, include_nerve_retract=True):
     """Exhaustively check every comparison-map identity within the bounds.
 
-    Identities are grouped into independent families; the merge is a plain
-    concatenation, so results are deterministic whatever the execution
-    order.  STEINER_LAB_THREADS caps the worker pool (default: serial).
+    Identities are grouped into families; the report lists them in order.
     """
-    jobs = [
-        lambda: _cone_checks(n_max),
-        lambda: _attachment_checks(m_max, n_max),
-        lambda: _fold_square_checks(n_max),
-        lambda: _wedge_checks(m_max, n_max),
-        lambda: _partial_wedge_checks(m_max, n_max),
-    ]
+    results = (
+        _cone_checks(n_max)
+        + _attachment_checks(m_max, n_max)
+        + _fold_square_checks(n_max)
+        + _wedge_checks(m_max, n_max)
+        + _partial_wedge_checks(m_max, n_max)
+    )
     if include_nerve_retract:
-        jobs.append(
-            lambda: _retract_checks_on_nerve(c_delta(1), 0, 2, "the interval nerve")
-        )
+        results += _retract_checks_on_nerve(c_delta(1), 0, 2, "the interval nerve")
         if m_max >= 1:
-            jobs.append(
-                lambda: _retract_checks_on_nerve(
-                    c_delta(2), 1, 2, "the triangle nerve"
-                )
-            )
-    threads = int(os.environ.get("STEINER_LAB_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(lambda job: job(), jobs))
-    else:
-        blocks = [job() for job in jobs]
-    results = tuple(itertools.chain.from_iterable(blocks))
-    return SuiteReport(results)
+            results += _retract_checks_on_nerve(c_delta(2), 1, 2, "the triangle nerve")
+    return SuiteReport(tuple(results))

@@ -40,10 +40,6 @@ class MonotoneMap:
             raise ValueError("composition mismatch")
         return MonotoneMap(other.src, self.dst, tuple(self.image[v] for v in other.image))
 
-    @property
-    def is_identity(self):
-        return self.src == self.dst and self.image == tuple(range(self.src + 1))
-
 
 def identity_map(n):
     return MonotoneMap(n, n, tuple(range(n + 1)))

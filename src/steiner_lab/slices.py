@@ -82,20 +82,6 @@ class OplaxTransformation:
                 if not token.startswith(prefixes):
                     raise ValueError("h is not defined on a cylinder complex")
 
-    @property
-    def target_complex(self):
-        return self.h.target
-
-    def base_tokens(self):
-        src = self.h.source
-        prefix = tensor_token(INTERVAL_SRC, "")
-        return [
-            (p, token[len(prefix):])
-            for p in src.degrees()
-            for token in src.tokens(p)
-            if token.startswith(prefix)
-        ]
-
     def end_functor(self, end, K):
         images = {
             b: self.h.image_of(tensor_token(end, b))
@@ -115,10 +101,6 @@ class OplaxTransformation:
         return self.h.apply(
             tensor_chains(Chain.unit(1, INTERVAL_EDGE), z)
         )
-
-
-def oplax_from_cylinder(h):
-    return OplaxTransformation(h)
 
 
 def identity_oplax(u):

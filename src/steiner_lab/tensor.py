@@ -24,11 +24,6 @@ def tensor_token(a, b):
     return f"{a}{TENSOR_SEP}{b}"
 
 
-def split_tensor_token(token):
-    a, _, b = token.partition(TENSOR_SEP)
-    return a, b
-
-
 def tensor_chains(x, y):
     """Bilinear product of chains, landing in degree x.degree + y.degree."""
     return Chain.make(

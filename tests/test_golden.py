@@ -29,6 +29,10 @@ def capture(argv):
             "slice_simplicial_vertex0.json",
             ["slice-simplicial", TRIANGLE, "0", "--cap", "2"],
         ),
+        (
+            "verify_theorem_a_1_1.txt",
+            ["verify", "theorem-a", "--m-max", "1", "--n-max", "1"],
+        ),
     ],
 )
 def test_cli_output_matches_golden_file(name, argv):

@@ -25,7 +25,10 @@ from steiner_lab.nerves import (
 from steiner_lab.simplex import (
     MonotoneMap,
     all_monotone_maps,
+    c_of_map,
     constant_map,
+    degeneracy_map,
+    face_map,
     identity_map,
     vertex_map,
 )
@@ -222,6 +225,50 @@ def test_columns_split_into_under_slices():
             for yp, x in S.simplices(m, n):
                 key = N.act(initial_inclusion(m, n), yp)
                 assert (yp, x) in map_under_slice(u, key, m).simplices(n)
+
+
+def _pairs_by_brute_force(u, m, n, y=None):
+    """Every (y', x) in Y_(m+1+n) x X_n whose final n-face is u(x) and, when
+    y is given, whose initial m-face is y; faces come from vertex lists."""
+    X, Y = u.src, u.dst
+    k = m + 1 + n
+    return {
+        (yp, x)
+        for yp in Y.simplices(k)
+        for x in X.simplices(n)
+        if simplex_facet(Y, yp, k, range(m + 1, k + 1)) == u(n, x)
+        and (y is None or simplex_facet(Y, yp, k, range(m + 1)) == y)
+    }
+
+
+def _small_simplicial_map(name):
+    if name == "interval identity":
+        return identity_simplicial_map(nerve(c_delta(1), 3))
+    if name == "triangle identity":
+        return identity_simplicial_map(nerve(c_delta(2), 3))
+    if name == "edge into triangle":
+        f = c_of_map(face_map(2, 1))
+        return nerve_map(f, nerve(c_delta(1), 3), nerve(c_delta(2), 3))
+    f = c_of_map(degeneracy_map(1, 0))
+    return nerve_map(f, nerve(c_delta(2), 3), nerve(c_delta(1), 3))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["interval identity", "triangle identity", "edge into triangle", "triangle onto edge"],
+)
+def test_slice_levels_match_brute_force(name):
+    u = _small_simplicial_map(name)
+    S, _ = bisimplicial_comparison(u, 1, 1)
+    for m in range(2):
+        for n in range(2):
+            level = S.simplices(m, n)
+            assert len(set(level)) == len(level)
+            assert set(level) == _pairs_by_brute_force(u, m, n)
+            for y in u.dst.simplices(m):
+                level = map_under_slice(u, y, m).simplices(n)
+                assert len(set(level)) == len(level)
+                assert set(level) == _pairs_by_brute_force(u, m, n, y)
 
 
 def test_rows_split_into_over_slices():

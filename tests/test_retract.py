@@ -259,13 +259,6 @@ def test_comparison_is_simplicial():
                 assert routed == T_res.h
 
 
-def test_thread_pool_does_not_change_results(monkeypatch):
-    serial = verify_suite(0, 1, include_nerve_retract=False)
-    monkeypatch.setenv("STEINER_LAB_THREADS", "3")
-    pooled = verify_suite(0, 1, include_nerve_retract=False)
-    assert pooled.results == serial.results
-
-
 def test_cone_atom_recursion():
     # the atom over a cone tuple is built from the base tuple's atom: the
     # lower rows prepend the cone point to the opposite row one degree down
