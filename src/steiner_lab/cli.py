@@ -127,6 +127,7 @@ def cmd_nerve(args):
     if args.json:
         print(dumps({
             "cap": args.cap,
+            "complete": N.complete,
             "counts": [
                 {"dim": n, "total": total, "nondegenerate": nd}
                 for n, total, nd in counts
@@ -134,6 +135,8 @@ def cmd_nerve(args):
         }), end="")
     else:
         print(" ".join(f"dim{n}:{total}(nondeg {nd})" for n, total, nd in counts))
+        if not N.complete:
+            print("possibly incomplete: the enumeration was cut at --coeff-bound")
     return 0
 
 

@@ -28,11 +28,15 @@ from .solve import solve_augmentation, solve_boundary
 
 
 class SimplicialSetTrunc:
-    """A simplicial set known up to ``cap``: level lists plus the operator action."""
+    """A simplicial set known up to ``cap``: level lists plus the operator action.
+
+    ``complete`` turns False once a level is built that may miss simplices.
+    """
 
     def __init__(self, cap, level_fn, act_fn, label=""):
         self.cap = cap
         self.label = label
+        self.complete = True
         self._level_fn = level_fn
         self._act_fn = act_fn
         self._levels = {}
@@ -192,12 +196,11 @@ def enumerate_morphisms(src, dst, fixed=None, coeff_bound=None):
             if p == 0:
                 candidates = solve_augmentation(dst, src.aug_of(token), coeff_bound)
             else:
-                image = None
-                for t, coeff in src.diff_of(token).items():
-                    term = coeff * assignment[t]
-                    image = term if image is None else image + term
-                if image is None:
-                    image = Chain.zero(p - 1)
+                image = Chain.make(p - 1, [
+                    (s, coeff * k)
+                    for t, coeff in src.diff_of(token).items()
+                    for s, k in assignment[t].items()
+                ])
                 candidates = solve_boundary(dst, p, image, coeff_bound)
             complete &= candidates.complete
             pin = fixed.get(token)
@@ -221,12 +224,14 @@ def hom_enumerate(n, K, coeff_bound=None):
 
 def nerve(K, cap, coeff_bound=None):
     """The nerve of nu(K): n-simplices are morphisms from the n-simplex chains."""
-    return SimplicialSetTrunc(
-        cap,
-        lambda n: hom_enumerate(n, K, coeff_bound),
-        lambda phi, x: x.after(c_of_map(phi)),
-        label=f"N({K!r})",
-    )
+
+    def level(n):
+        morphisms, complete = enumerate_morphisms(c_delta(n), K, coeff_bound=coeff_bound)
+        N.complete &= complete
+        return morphisms
+
+    N = SimplicialSetTrunc(cap, level, lambda phi, x: x.after(c_of_map(phi)), label=f"N({K!r})")
+    return N
 
 
 def nerve_map(f, src_nerve, dst_nerve):

@@ -16,13 +16,14 @@ The four map families:
   homotopy of the strong retraction.
 
 Every formula collapses tuples with repeated entries to zero, consistent
-with the chains functor.
+with the chains functor.  Each constructor builds its map once per argument.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .chains import AdcMorphism, Chain, check_morphism, identity_morphism
 from .nerves import (
@@ -57,6 +58,10 @@ from .tensor import (
 )
 
 
+# Entries kept per constructor; verify_suite(3, 3) needs at most 56.
+MAP_CACHE_SIZE = 256
+
+
 def _unit(tup):
     return Chain.unit(len(tup) - 1, simplex_token(tup))
 
@@ -65,6 +70,7 @@ def _shift(tup, k):
     return tuple(i + k for i in tup)
 
 
+@lru_cache(maxsize=MAP_CACHE_SIZE)
 def cylinder_to_cone(n):
     """interval (x) cDelta(n) -> cDelta(1+n): flatten the 0-end to the cone
     point, embed the 1-end as the final face, send prisms to cones."""
@@ -85,6 +91,7 @@ def cylinder_to_cone(n):
     return AdcMorphism(src, dst, images)
 
 
+@lru_cache(maxsize=MAP_CACHE_SIZE)
 def attachment_pushout(m, n):
     """cDelta(m+1+n) glued to a cylinder over its final n-face."""
     return pushout_complex(
@@ -93,38 +100,34 @@ def attachment_pushout(m, n):
     )
 
 
-def cylinder_attachment(m, n, pushout=None):
+@lru_cache(maxsize=MAP_CACHE_SIZE)
+def cylinder_attachment(m, n):
     """cDelta(m+1+n) -> cDelta(m+1+n) + cylinder over the final face.
 
     Tuples with at least two initial-block entries stay put; tuples with
     exactly one pick up a prism correction; tuples entirely in the final
     block are pushed to the far end of the cylinder.
     """
-    P = pushout or attachment_pushout(m, n)
+    P = attachment_pushout(m, n)
     src = c_delta(m + 1 + n)
     images = {}
     for p in src.degrees():
         for token in src.tokens(p):
             tup = token_simplex(token)
             r = sum(1 for i in tup if i <= m)
-            if r >= 2:
-                images[token] = P.left.apply(_unit(tup))
-            elif r == 1:
-                image = P.left.apply(_unit(tup))
-                if p > 0:
-                    back = _shift(tup[1:], -(m + 1))
-                    image = image + P.right.apply(
-                        tensor_chains(Chain.unit(1, "0,1"), _unit(back))
-                    )
-                images[token] = image
-            else:
+            if r == 0:
                 back = _shift(tup, -(m + 1))
-                images[token] = P.right.apply(
-                    tensor_chains(Chain.unit(0, "1"), _unit(back))
-                )
+                images[token] = P.right.apply(tensor_chains(Chain.unit(0, "1"), _unit(back)))
+                continue
+            image = P.left.apply(_unit(tup))
+            if r == 1 and p > 0:
+                back = _shift(tup[1:], -(m + 1))
+                image = image + P.right.apply(tensor_chains(Chain.unit(1, "0,1"), _unit(back)))
+            images[token] = image
     return AdcMorphism(src, P.complex, images)
 
 
+@lru_cache(maxsize=MAP_CACHE_SIZE)
 def wedge_pushout(m, n):
     """cDelta(m) and cDelta(1+n) joined at vertex m = vertex 0."""
     return pushout_complex(
@@ -155,25 +158,27 @@ def _wedge_name(m, tup, pushout):
     return pushout.right.apply(_unit(_shift(tup, -m)))
 
 
-def wedge_projection(m, n, pushout=None):
+@lru_cache(maxsize=MAP_CACHE_SIZE)
+def wedge_projection(m, n):
     """cDelta(m+1+n) -> cDelta(m) + cDelta(1+n): squash tuples through the
     middle vertex, killing those spanning it in more than two steps."""
-    P = pushout or wedge_pushout(m, n)
+    P = wedge_pushout(m, n)
     src = c_delta(m + 1 + n)
     images = {}
     for p in src.degrees():
         for token in src.tokens(p):
-            tup = token_simplex(token)
-            image = Chain.zero(p)
-            for term in _wedge_tuple_terms(m, tup):
-                image = image + _wedge_name(m, term, P)
-            images[token] = image
+            images[token] = Chain.make(p, [
+                item
+                for term in _wedge_tuple_terms(m, token_simplex(token))
+                for item in _wedge_name(m, term, P).items()
+            ])
     return AdcMorphism(src, P.complex, images)
 
 
-def wedge_inclusion(m, n, pushout=None):
+@lru_cache(maxsize=MAP_CACHE_SIZE)
+def wedge_inclusion(m, n):
     """The wedge as a subcomplex of the ambient simplex."""
-    P = pushout or wedge_pushout(m, n)
+    P = wedge_pushout(m, n)
     dst = c_delta(m + 1 + n)
     images = {}
     for p in P.complex.degrees():
@@ -184,20 +189,21 @@ def wedge_inclusion(m, n, pushout=None):
     return AdcMorphism(P.complex, dst, images)
 
 
+@lru_cache(maxsize=MAP_CACHE_SIZE)
 def wedge_projection_endo(m, n):
     """The wedge projection followed by the subcomplex inclusion."""
     src = c_delta(m + 1 + n)
     images = {}
     for p in src.degrees():
         for token in src.tokens(p):
-            tup = token_simplex(token)
-            image = Chain.zero(p)
-            for term in _wedge_tuple_terms(m, tup):
-                image = image + _unit(term)
-            images[token] = image
+            images[token] = Chain.make(p, [
+                (simplex_token(term), 1)
+                for term in _wedge_tuple_terms(m, token_simplex(token))
+            ])
     return AdcMorphism(src, src, images)
 
 
+@lru_cache(maxsize=MAP_CACHE_SIZE)
 def partial_wedge_projection(m, n, phi):
     """The endomorphism splitting each tuple at the fiber of phi.
 
@@ -225,10 +231,10 @@ def partial_wedge_projection(m, n, phi):
                 images[token] = _unit(tup)
                 continue
             suffix = tup[split:]
-            image = Chain.zero(p)
-            for term in _wedge_tuple_terms(m, tup[:split]):
-                image = image + _unit(term + suffix)
-            images[token] = image
+            images[token] = Chain.make(p, [
+                (simplex_token(term + suffix), 1)
+                for term in _wedge_tuple_terms(m, tup[:split])
+            ])
     return AdcMorphism(src, src, images)
 
 
@@ -325,9 +331,8 @@ def slice_retract_data(u, b, m):
 
     def s_fn(n, pair):
         y_prime, x = pair
-        P = wedge_pushout(m, n)
-        folded = P.induced(b, y_prime)
-        return (folded.after(wedge_projection(m, n, P)), x)
+        folded = wedge_pushout(m, n).induced(b, y_prime)
+        return (folded.after(wedge_projection(m, n)), x)
 
     return SliceRetract(
         m,
@@ -413,22 +418,16 @@ def _cone_checks(n_max):
 
 def _attachment_checks(m_max, n_max):
     out = []
-    pushouts = {}
-    kappas = {}
-    for m in range(m_max + 1):
-        for n in range(n_max + 1):
-            P = attachment_pushout(m, n)
-            pushouts[(m, n)] = P
-            kappas[(m, n)] = cylinder_attachment(m, n, P)
-            out.append(
-                _chain_map_result(
-                    f"cylinder attachment is a chain map (m={m}, n={n})", kappas[(m, n)]
-                )
+    pairs = list(itertools.product(range(m_max + 1), range(n_max + 1)))
+    for m, n in pairs:
+        out.append(
+            _chain_map_result(
+                f"cylinder attachment is a chain map (m={m}, n={n})", cylinder_attachment(m, n)
             )
-    for (m, n), kappa in kappas.items():
-        P = pushouts[(m, n)]
-        lhs = kappa.after(c_of_map(initial_inclusion(m, n)))
-        rhs = P.left.after(c_of_map(initial_inclusion(m, n)))
+        )
+    for m, n in pairs:
+        lhs = cylinder_attachment(m, n).after(c_of_map(initial_inclusion(m, n)))
+        rhs = attachment_pushout(m, n).left.after(c_of_map(initial_inclusion(m, n)))
         res = _morphism_identity(
             f"cylinder attachment fixes the initial face (m={m}, n={n})", lhs, rhs
         )
@@ -438,26 +437,21 @@ def _attachment_checks(m_max, n_max):
     out.append(IdentityResult("cylinder attachment fixes the initial face", True))
 
     failures = []
-    for (m, n), kappa in kappas.items():
-        P = pushouts[(m, n)]
-        for m2 in range(m_max + 1):
-            for n2 in range(n_max + 1):
-                P2 = pushouts[(m2, n2)]
-                kappa2 = kappas[(m2, n2)]
-                for phi in all_monotone_maps(m2, m):
-                    for psi in all_monotone_maps(n2, n):
-                        glue = P2.induced(
-                            P.left.after(c_of_map(join_maps(phi, psi))),
-                            P.right.after(
-                                tensor_morphism(
-                                    identity_morphism(c_delta(1)), c_of_map(psi)
-                                )
-                            ),
-                        )
-                        lhs = kappa.after(c_of_map(join_maps(phi, psi)))
-                        rhs = glue.after(kappa2)
-                        if lhs != rhs:
-                            failures.append(f"(m,n)=({m},{n}) phi={phi.image} psi={psi.image}")
+    for m, n in pairs:
+        P = attachment_pushout(m, n)
+        for m2, n2 in pairs:
+            for phi in all_monotone_maps(m2, m):
+                for psi in all_monotone_maps(n2, n):
+                    glue = attachment_pushout(m2, n2).induced(
+                        P.left.after(c_of_map(join_maps(phi, psi))),
+                        P.right.after(
+                            tensor_morphism(identity_morphism(c_delta(1)), c_of_map(psi))
+                        ),
+                    )
+                    lhs = cylinder_attachment(m, n).after(c_of_map(join_maps(phi, psi)))
+                    rhs = glue.after(cylinder_attachment(m2, n2))
+                    if lhs != rhs:
+                        failures.append(f"(m,n)=({m},{n}) phi={phi.image} psi={psi.image}")
     out.append(_identity("cylinder attachment naturality", failures))
     return out
 
@@ -468,7 +462,6 @@ def _fold_square_checks(n_max):
     for n in range(n_max + 1):
         Kn = c_delta(n)
         PK = attachment_pushout(0, n)
-        kappa = cylinder_attachment(0, n, PK)
         Q = pushout_complex(
             tensor_injection(I, Kn, "0"),
             tensor_injection(I, Kn, "1"),
@@ -489,7 +482,7 @@ def _fold_square_checks(n_max):
                 ) + Q.right.apply(tensor_chains(Chain.unit(1, "0,1"), base))
         fold_tensor = AdcMorphism(T, Q.complex, images)
         bottom = Q.induced(PK.right, PK.left.after(cylinder_to_cone(n)))
-        lhs = kappa.after(cylinder_to_cone(n))
+        lhs = cylinder_attachment(0, n).after(cylinder_to_cone(n))
         rhs = bottom.after(fold_tensor)
         res = _morphism_identity(f"interval fold square (n={n})", lhs, rhs)
         out.append(res)
@@ -498,10 +491,11 @@ def _fold_square_checks(n_max):
 
 def _wedge_checks(m_max, n_max):
     out = []
+    failures = []
     for m in range(m_max + 1):
         for n in range(n_max + 1):
             P = wedge_pushout(m, n)
-            f = wedge_projection(m, n, P)
+            f = wedge_projection(m, n)
             out.append(
                 _chain_map_result(f"wedge projection is a chain map (m={m}, n={n})", f)
             )
@@ -509,7 +503,7 @@ def _wedge_checks(m_max, n_max):
             out.append(
                 _morphism_identity(
                     f"wedge projection factors through the wedge (m={m}, n={n})",
-                    wedge_inclusion(m, n, P).after(f),
+                    wedge_inclusion(m, n).after(f),
                     endo,
                 )
             )
@@ -523,24 +517,17 @@ def _wedge_checks(m_max, n_max):
             out.append(
                 _morphism_identity(
                     f"wedge projection restricts to the identity (m={m}, n={n})",
-                    f.after(wedge_inclusion(m, n, P)),
+                    f.after(wedge_inclusion(m, n)),
                     identity_morphism(P.complex),
                 )
             )
-    failures = []
-    for m in range(m_max + 1):
-        for n in range(n_max + 1):
-            P = wedge_pushout(m, n)
-            f = wedge_projection(m, n, P)
             for n2 in range(n_max + 1):
-                P2 = wedge_pushout(m, n2)
-                f2 = wedge_projection(m, n2, P2)
                 for psi in all_monotone_maps(n2, n):
                     psi1 = join_maps(identity_map(m), psi)
                     psi2 = join_maps(identity_map(0), psi)
-                    glue = P2.induced(P.left, P.right.after(c_of_map(psi2)))
+                    glue = wedge_pushout(m, n2).induced(P.left, P.right.after(c_of_map(psi2)))
                     lhs = f.after(c_of_map(psi1))
-                    rhs = glue.after(f2)
+                    rhs = glue.after(wedge_projection(m, n2))
                     if lhs != rhs:
                         failures.append(f"(m,n,n')=({m},{n},{n2}) psi={psi.image}")
     out.append(_identity("wedge projection naturality", failures))
@@ -618,18 +605,9 @@ def _retract_checks_on_nerve(K, m, cap, label, coeff_bound=None):
     out.append(_identity(f"retraction has section on {label}", rs_failures))
     out.append(_identity(f"homotopy endpoints on {label}", hom_failures + sr_failures))
     out.append(_identity(f"strong retract square on {label}", square_failures))
-    out.append(
-        IdentityResult(
-            f"section is simplicial on {label}",
-            not simplicial_map_failures(s, min(data.small.cap, cap)),
-        )
-    )
-    out.append(
-        IdentityResult(
-            f"retraction is simplicial on {label}",
-            not simplicial_map_failures(r, min(data.big.cap, cap)),
-        )
-    )
+    for name, f, space in (("section", s, data.small), ("retraction", r, data.big)):
+        failures = simplicial_map_failures(f, min(space.cap, cap))
+        out.append(IdentityResult(f"{name} is simplicial on {label}", not failures))
     h_failures = []
     for n in range(min(data.big.cap, cap)):
         for psi in all_monotone_maps(n, n + 1):

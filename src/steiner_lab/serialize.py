@@ -9,7 +9,8 @@ Formats:
 * cell: ``{"dim": i, "x0": [{tok: int}, ...], "x1": [...]}``
 
 Dictionaries are dumped with sorted keys, basis lists in declaration
-order, so the same value always serializes to the same bytes.
+order, so the same value always serializes to the same bytes.  Reading
+rejects coefficients that are not JSON integers instead of truncating them.
 """
 
 from __future__ import annotations
@@ -24,8 +25,16 @@ def chain_to_json(chain):
     return {t: c for t, c in chain.items()}
 
 
+def _integer_entries(data):
+    entries = dict(data)
+    for token, value in entries.items():
+        if type(value) is not int:  # also rejects true/false
+            raise ValueError(f"value {value!r} at {token!r} is not an integer")
+    return entries
+
+
 def chain_from_json(degree, data):
-    return Chain.make(degree, dict(data))
+    return Chain.make(degree, _integer_entries(data))
 
 
 def complex_to_json(K):
@@ -49,7 +58,7 @@ def complex_from_json(data):
         t: chain_from_json(degree_of[t] - 1, entries)
         for t, entries in data.get("diff", {}).items()
     }
-    return DirComplex(basis, diff, data.get("aug", {}))
+    return DirComplex(basis, diff, _integer_entries(data.get("aug", {})))
 
 
 def morphism_to_json(f):

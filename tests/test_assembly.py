@@ -38,7 +38,7 @@ def assembly_map(u, w, alpha, m, n, c, a):
     """One bidegree of the triangle's assembly: rewrite the cone simplex
     through the attached cylinder and push the tail through u."""
     P = attachment_pushout(m, n)
-    kappa = cylinder_attachment(m, n, P)
+    kappa = cylinder_attachment(m, n)
     whiskered = precompose_oplax(alpha, a)
     folded = P.induced(c, whiskered.h)
     return folded.after(kappa), u.after(a)

@@ -1,0 +1,71 @@
+"""Every memo cache of the package names a finite bound.
+
+A ``functools.lru_cache`` or ``functools.cache`` decorator in ``src/`` must
+pass ``maxsize`` as an integer literal or as a module-level integer
+constant, so a long-lived process holds bounded memory.  ``ALLOWED_UNBOUNDED``
+lists the caches that are not bounded yet; it must shrink when one is.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "steiner_lab"
+
+# Their working sets need sizing first: c_of_map alone holds 10,732
+# entries after verify_suite(3, 3).
+ALLOWED_UNBOUNDED = {"c_delta", "c_of_map", "tensor_complex"}
+
+
+def _int_constants(tree):
+    """Module-level names bound to an integer literal."""
+    out = {}
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Constant)
+            and type(node.value.value) is int
+        ):
+            out.update((t.id, node.value.value) for t in node.targets if isinstance(t, ast.Name))
+    return out
+
+
+def _is_cache(decorator):
+    node = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in ("lru_cache", "cache")
+
+
+def _bound(decorator, constants):
+    """The maxsize a cache decorator passes, or None if it names none."""
+    if not isinstance(decorator, ast.Call):
+        return None
+    args = list(decorator.args[:1]) + [k.value for k in decorator.keywords if k.arg == "maxsize"]
+    if not args:
+        return None
+    value = args[0]
+    if isinstance(value, ast.Constant) and type(value.value) is int:
+        return value.value
+    if isinstance(value, ast.Name):
+        return constants.get(value.id)
+    return None
+
+
+def test_every_cache_has_a_finite_maxsize():
+    unbounded = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        constants = _int_constants(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in filter(_is_cache, node.decorator_list):
+                bound = _bound(decorator, constants)
+                if bound is None:
+                    unbounded.add(node.name)
+    assert not unbounded - ALLOWED_UNBOUNDED, (
+        f"caches without a finite maxsize: {sorted(unbounded - ALLOWED_UNBOUNDED)}"
+    )
+    assert not ALLOWED_UNBOUNDED - unbounded, (
+        f"bounded now, drop from ALLOWED_UNBOUNDED: {sorted(ALLOWED_UNBOUNDED - unbounded)}"
+    )

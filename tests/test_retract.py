@@ -23,6 +23,7 @@ from steiner_lab.nerves import (
     identity_simplicial_map,
     simplicial_map_failures,
 )
+from steiner_lab import retract
 from steiner_lab.retract import attachment_pushout
 from steiner_lab.simplex import (
     all_monotone_maps,
@@ -38,7 +39,7 @@ from steiner_lab.slices import (
     constant_morphism,
     cylinder_complex,
 )
-from steiner_lab.tensor import tensor_token
+from steiner_lab.tensor import pushout_complex, tensor_token
 
 
 def test_cone_collapse_values():
@@ -52,7 +53,7 @@ def test_cone_collapse_values():
 
 def test_attachment_values():
     P = attachment_pushout(1, 1)
-    kappa = cylinder_attachment(1, 1, P)
+    kappa = cylinder_attachment(1, 1)
     assert kappa.image_of("0,1") == P.left.apply(Chain.unit(1, "0,1"))
     assert kappa.image_of("1,3") == P.left.apply(Chain.unit(1, "1,3")) + P.right.apply(
         Chain.unit(1, tensor_token("0,1", "1"))
@@ -122,6 +123,26 @@ def test_corrupted_wedge_projection_fails_where_expected():
 def test_suite_passes_at_small_bounds():
     report = verify_suite(1, 1, include_nerve_retract=False)
     assert report.all_passed
+
+
+def test_verify_suite_builds_each_pushout_once(monkeypatch):
+    """At m, n <= 1: 4 attachment pushouts, 6 wedge pushouts (two of them
+    for the nerve retracts, at n = 2) and 2 fold-square pushouts."""
+    for name in (
+        "attachment_pushout", "wedge_pushout", "cylinder_to_cone", "cylinder_attachment",
+        "wedge_projection", "wedge_inclusion", "wedge_projection_endo",
+        "partial_wedge_projection",
+    ):
+        getattr(retract, name).cache_clear()
+    built = []
+
+    def counting_pushout(f, g):
+        built.append((f, g))
+        return pushout_complex(f, g)
+
+    monkeypatch.setattr(retract, "pushout_complex", counting_pushout)
+    assert verify_suite(1, 1).all_passed
+    assert len(built) == 12
 
 
 def test_suite_report_formats():

@@ -114,6 +114,24 @@ def test_cli_cells_and_nerve(triangle_file, capsys):
     )
 
 
+def test_cli_nerve_marks_bounded_counts(tmp_path, triangle_file, capsys):
+    from test_cells import two_loop_complex
+
+    path = tmp_path / "two_loop.json"
+    path.write_text(dumps(complex_to_json(two_loop_complex())))
+    args = ["nerve", str(path), "--cap", "1", "--coeff-bound", "1"]
+    assert run(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "dim0:2(nondeg 2) dim1:6(nondeg 4)"
+    assert lines[1].startswith("possibly incomplete") and len(lines) == 2
+    assert run(args + ["--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["complete"] is False
+    assert [row["total"] for row in data["counts"]] == [2, 6]
+    assert run(["nerve", triangle_file, "--cap", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["complete"] is True
+
+
 def test_cli_slice(tmp_path, triangle_file, capsys):
     u_path = tmp_path / "u.json"
     u_path.write_text(dumps(morphism_to_json(identity_morphism(c_delta(2)))))
@@ -159,6 +177,38 @@ def test_cli_export_dot(triangle_file, capsys):
     assert run(["export-dot", triangle_file]) == 0
     out = capsys.readouterr().out
     assert "digraph" in out and '"0,1,2"' in out
+
+
+@pytest.mark.parametrize(
+    "section,value", [("diff", 1.5), ("diff", True), ("aug", 1.0), ("aug", False)]
+)
+def test_cli_rejects_non_integer_coefficients(tmp_path, capsys, section, value):
+    data = {
+        "basis": [["a", "b"], ["g"]],
+        "diff": {"g": {"b": 1, "a": -1}},
+        "aug": {"a": 1, "b": 1},
+    }
+    entries = data["diff"]["g"] if section == "diff" else data["aug"]
+    entries["b"] = value
+    path = tmp_path / "coefficients.json"
+    path.write_text(json.dumps(data))
+    assert run(["adc", "validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "not an integer" in captured.err
+
+
+def test_morphism_and_cell_readers_reject_non_integer_coefficients():
+    data = morphism_to_json(identity_morphism(c_delta(1)))
+    data["images"]["0,1"] = {"0,1": 1.0}
+    with pytest.raises(ValueError, match="not an integer"):
+        morphism_from_json(data)
+    K = c_delta(2)
+    data = cell_to_json(atom_cell(K, "0,1,2"))
+    data["x1"][2] = {"0,1,2": True}
+    with pytest.raises(ValueError, match="not an integer"):
+        cell_from_json(K, data)
 
 
 def test_cli_usage_errors(tmp_path, capsys):
