@@ -326,6 +326,8 @@ class AdcMorphism:
 
     def apply(self, chain):
         items = chain.items()
+        if not items:
+            return chain
         if len(items) == 1 and items[0][1] == 1:
             return self._images[items[0][0]]
         return Chain.make(chain.degree, [

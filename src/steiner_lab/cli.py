@@ -180,6 +180,7 @@ def cmd_slice_simplicial(args):
     print(dumps({
         "kind": "over" if args.over else "under",
         "vertex": args.vertex,
+        "complete": N.complete,
         "counts": [
             {"dim": n, "total": total, "nondegenerate": nd} for n, total, nd in counts
         ],
@@ -201,13 +202,15 @@ def cmd_bisimplicial(args):
     else:
         u = identity_simplicial_map(N)
     S, _ = bisimplicial_comparison(u, args.cap_m, args.cap_n)
+    sizes = [
+        {"m": m, "n": n, "count": len(S.simplices(m, n))}
+        for m in range(args.cap_m + 1)
+        for n in range(args.cap_n + 1)
+    ]
     print(dumps({
         "caps": [args.cap_m, args.cap_n],
-        "sizes": [
-            {"m": m, "n": n, "count": len(S.simplices(m, n))}
-            for m in range(args.cap_m + 1)
-            for n in range(args.cap_n + 1)
-        ],
+        "complete": u.src.complete and u.dst.complete,
+        "sizes": sizes,
     }), end="")
     return 0
 

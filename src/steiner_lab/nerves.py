@@ -55,7 +55,7 @@ class SimplicialSetTrunc:
         key = (phi, x)
         cached = self._act_cache.get(key)
         if cached is None:
-            # interning lets repeated functoriality checks compare by identity
+            # interning makes equal results one object, so comparing them is cheap
             result = self._act_fn(phi, x)
             cached = self._act_cache[key] = self._intern.setdefault(result, result)
         return cached
@@ -84,8 +84,31 @@ class SimplicialSetTrunc:
         With ``generators_only`` the second factor ranges over faces and
         degeneracies only; since every operator factors into those, the
         restricted check still implies functoriality for all pairs.
+
+        Each operator is applied once per simplex, through ``act``, into a
+        table of ids: the id of a value is a position of it in its level,
+        and values outside the level get fresh ids past its end, so equal
+        ids mean equal values.
         """
         through = self.cap if through is None else through
+        levels = [self.simplices(n) for n in range(through + 1)]
+        values = [list(level) for level in levels]
+        ids = [{x: i for i, x in enumerate(level)} for level in levels]
+
+        def ident(k, y):
+            i = ids[k].setdefault(y, len(values[k]))
+            if i == len(values[k]):
+                values[k].append(y)
+            return i
+
+        tables = {}
+
+        def table(phi):
+            """Ids of X(phi)(x) for x at the positions of level phi.dst."""
+            if phi not in tables:
+                tables[phi] = [ident(phi.src, self.act(phi, x)) for x in levels[phi.dst]]
+            return tables[phi]
+
         failures = []
         for n in range(through + 1):
             for m in range(through + 1):
@@ -100,13 +123,21 @@ class SimplicialSetTrunc:
                             for k in range(min(m + 1, through) + 1)
                             for psi in all_monotone_maps(k, m)
                         ]
+                    first = table(phi)
                     for psi in seconds:
-                        composite = phi.compose(psi)
-                        for x in self.simplices(n):
-                            lhs = self.act(composite, x)
-                            rhs = self.act(psi, self.act(phi, x))
-                            if lhs is not rhs and lhs != rhs:
-                                failures.append((phi, psi, x))
+                        lhs = table(phi.compose(psi))
+                        second = table(psi)
+                        rhs = [
+                            second[j] if j < len(second)
+                            else ident(psi.src, self.act(psi, values[m][j]))
+                            for j in first
+                        ]
+                        if lhs != rhs:
+                            failures.extend(
+                                (phi, psi, x)
+                                for x, a, b in zip(levels[n], lhs, rhs)
+                                if a != b
+                            )
         return failures
 
 
@@ -189,19 +220,27 @@ def enumerate_morphisms(src, dst, fixed=None, coeff_bound=None):
     fixed = fixed or {}
     complete = True
     partials = [{}]
+    # one solve per distinct target: the boundary image (its degree fixes
+    # p), or the augmentation value in degree 0
+    solved = {}
     for token in _generator_order(src):
         p = src.degree_of(token)
         grown = []
         for assignment in partials:
             if p == 0:
-                candidates = solve_augmentation(dst, src.aug_of(token), coeff_bound)
+                target = src.aug_of(token)
             else:
-                image = Chain.make(p - 1, [
+                target = Chain.make(p - 1, [
                     (s, coeff * k)
                     for t, coeff in src.diff_of(token).items()
                     for s, k in assignment[t].items()
                 ])
-                candidates = solve_boundary(dst, p, image, coeff_bound)
+            candidates = solved.get(target)
+            if candidates is None:
+                candidates = solved[target] = (
+                    solve_augmentation(dst, target, coeff_bound) if p == 0
+                    else solve_boundary(dst, p, target, coeff_bound)
+                )
             complete &= candidates.complete
             pin = fixed.get(token)
             for z in candidates.chains:

@@ -25,8 +25,14 @@ def chain_to_json(chain):
     return {t: c for t, c in chain.items()}
 
 
+def _json_object(data, what):
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    return data
+
+
 def _integer_entries(data):
-    entries = dict(data)
+    entries = dict(_json_object(data, "a chain or augmentation"))
     for token, value in entries.items():
         if type(value) is not int:  # also rejects true/false
             raise ValueError(f"value {value!r} at {token!r} is not an integer")
@@ -52,12 +58,18 @@ def complex_to_json(K):
 
 
 def complex_from_json(data):
-    basis = data["basis"]
+    basis = _json_object(data, "a complex").get("basis")
+    if not isinstance(basis, list) or not all(
+        isinstance(level, list) and all(isinstance(t, str) for t in level)
+        for level in basis
+    ):
+        raise ValueError("a complex needs a 'basis' list of token-string lists")
     degree_of = {t: p for p, level in enumerate(basis) for t in level}
-    diff = {
-        t: chain_from_json(degree_of[t] - 1, entries)
-        for t, entries in data.get("diff", {}).items()
-    }
+    diff = {}
+    for t, entries in _json_object(data.get("diff", {}), "'diff'").items():
+        if t not in degree_of:
+            raise ValueError(f"differential on unknown token {t!r}")
+        diff[t] = chain_from_json(degree_of[t] - 1, entries)
     return DirComplex(basis, diff, _integer_entries(data.get("aug", {})))
 
 
@@ -74,12 +86,16 @@ def morphism_to_json(f):
 
 
 def morphism_from_json(data):
-    source = complex_from_json(data["source"])
-    target = complex_from_json(data["target"])
-    images = {
-        t: chain_from_json(source.degree_of(t), entries)
-        for t, entries in data["images"].items()
-    }
+    _json_object(data, "a morphism")
+    source = complex_from_json(data.get("source"))
+    target = complex_from_json(data.get("target"))
+    images = {}
+    for t, entries in _json_object(data.get("images"), "'images'").items():
+        try:
+            p = source.degree_of(t)
+        except KeyError:
+            raise ValueError(f"image for unknown token {t!r}") from None
+        images[t] = chain_from_json(p, entries)
     return AdcMorphism(source, target, images)
 
 

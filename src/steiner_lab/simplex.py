@@ -95,7 +95,7 @@ def token_simplex(token):
     return tuple(int(s) for s in token.split(","))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def c_delta(n):
     """Normalized chains of the n-simplex as a directed complex.
 

@@ -73,3 +73,31 @@ def brute_cells(K, dim, bound):
     from steiner_lab import CellTableau
 
     return [CellTableau(K, x0, x1) for x0, x1 in stacks]
+
+
+def functoriality_failures(X, through, generators_only=False):
+    """The (phi, psi, x) with X(phi.psi)(x) != X(psi)(X(phi)(x)), one ``act``
+    per operator application, in the order of ``identity_failures``."""
+    from steiner_lab.simplex import all_monotone_maps, degeneracy_map, face_map
+
+    failures = []
+    for n in range(through + 1):
+        for m in range(through + 1):
+            for phi in all_monotone_maps(m, n):
+                if generators_only:
+                    seconds = [face_map(m, i) for i in range(m + 1) if m >= 1]
+                    if m + 1 <= through:
+                        seconds += [degeneracy_map(m, i) for i in range(m + 1)]
+                else:
+                    seconds = [
+                        psi
+                        for k in range(min(m + 1, through) + 1)
+                        for psi in all_monotone_maps(k, m)
+                    ]
+                for psi in seconds:
+                    for x in X.simplices(n):
+                        lhs = X.act(phi.compose(psi), x)
+                        rhs = X.act(psi, X.act(phi, x))
+                        if lhs != rhs:
+                            failures.append((phi, psi, x))
+    return failures

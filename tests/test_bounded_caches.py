@@ -14,7 +14,7 @@ PACKAGE = ROOT / "src" / "steiner_lab"
 
 # Their working sets need sizing first: c_of_map alone holds 10,732
 # entries after verify_suite(3, 3).
-ALLOWED_UNBOUNDED = {"c_delta", "c_of_map", "tensor_complex"}
+ALLOWED_UNBOUNDED = {"c_of_map", "tensor_complex"}
 
 
 def _int_constants(tree):

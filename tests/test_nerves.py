@@ -1,18 +1,21 @@
 import pytest
 
-from oracles import brute_morphisms
+from oracles import brute_morphisms, functoriality_failures
 from steiner_lab import (
     Chain,
     c_delta,
     decalage_homotopy,
     hom_enumerate,
     nerve,
+    nerves,
     over_slice,
     simplex_facet,
     under_slice,
 )
 from steiner_lab.nerves import (
+    SimplicialSetTrunc,
     bisimplicial_comparison,
+    enumerate_morphisms,
     identity_simplicial_map,
     map_under_slice,
     nerve_map,
@@ -324,3 +327,55 @@ def test_forgetful_projection():
 def test_nerve_identities_exhaustive_to_cap_four(K, generators_only):
     N = nerve(K, 4)
     assert not N.identity_failures(4, generators_only=generators_only)
+
+
+def _space_with_fault(fault):
+    """The triangle nerve at cap 3, with ``act`` changed on one face of its
+    nondegenerate 2-simplex: ``in level`` gives another face of it,
+    ``outside`` gives a 1-simplex of the tetrahedron nerve, which the nerve
+    action still accepts."""
+    N = nerve(c_delta(2), 3)
+    if fault is None:
+        return N
+    top = c_of_map(identity_map(2))
+    wrong = {
+        "in level": N.act(face_map(2, 2), top),
+        "outside": c_of_map(MonotoneMap(1, 3, (0, 3))),
+    }[fault]
+
+    def act(phi, x):
+        return wrong if (phi, x) == (face_map(2, 0), top) else N.act(phi, x)
+
+    return SimplicialSetTrunc(3, N.simplices, act)
+
+
+@pytest.mark.parametrize("generators_only", [False, True])
+@pytest.mark.parametrize("fault", [None, "in level", "outside"])
+def test_identity_failures_match_the_triple_loop_oracle(fault, generators_only):
+    X = _space_with_fault(fault)
+    expected = functoriality_failures(X, 3, generators_only)
+    assert bool(expected) == (fault is not None)
+    assert X.identity_failures(3, generators_only=generators_only) == expected
+
+
+def test_enumeration_solves_each_boundary_target_once(monkeypatch):
+    calls = []
+    solve_boundary = nerves.solve_boundary
+
+    def counting(*args):
+        calls.append(args)
+        return solve_boundary(*args)
+
+    monkeypatch.setattr(nerves, "solve_boundary", counting)
+    assert len(hom_enumerate(4, c_delta(3))) == 1316
+    assert len(calls) <= 30  # one per distinct boundary target
+
+
+def test_bounded_enumeration_stays_marked_incomplete():
+    from test_cells import two_loop_complex
+
+    K = two_loop_complex()
+    morphisms, complete = enumerate_morphisms(c_delta(1), K, coeff_bound=1)
+    assert len(morphisms) == 6 and not complete
+    N = nerve(K, 1, coeff_bound=1)
+    assert [len(N.simplices(n)) for n in range(2)] == [2, 6] and not N.complete

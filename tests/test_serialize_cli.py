@@ -132,6 +132,18 @@ def test_cli_nerve_marks_bounded_counts(tmp_path, triangle_file, capsys):
     assert json.loads(capsys.readouterr().out)["complete"] is True
 
 
+def test_cli_slices_mark_bounded_counts(tmp_path, capsys):
+    from test_cells import two_loop_complex
+
+    path = tmp_path / "two_loop.json"
+    path.write_text(dumps(complex_to_json(two_loop_complex())))
+    bound = ["--coeff-bound", "1"]
+    assert run(["slice-simplicial", str(path), "a", "--cap", "2"] + bound) == 0
+    assert json.loads(capsys.readouterr().out)["complete"] is False
+    assert run(["bisimplicial", str(path), "--cap-m", "1", "--cap-n", "0"] + bound) == 0
+    assert json.loads(capsys.readouterr().out)["complete"] is False
+
+
 def test_cli_slice(tmp_path, triangle_file, capsys):
     u_path = tmp_path / "u.json"
     u_path.write_text(dumps(morphism_to_json(identity_morphism(c_delta(2)))))
@@ -151,6 +163,7 @@ def test_cli_bisimplicial(triangle_file, capsys):
     data = json.loads(capsys.readouterr().out)
     sizes = {(row["m"], row["n"]): row["count"] for row in data["sizes"]}
     assert sizes[(0, 0)] == 7  # pairs of a 1-simplex with its final vertex
+    assert data["complete"] is True
 
 
 def test_cli_verify_writes_report(tmp_path, capsys):
@@ -197,6 +210,47 @@ def test_cli_rejects_non_integer_coefficients(tmp_path, capsys, section, value):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "not an integer" in captured.err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"diff": {}},
+        {"basis": [["a", "b"], ["g"]], "diff": {"g": 5}},
+        {"basis": [["a", "b"], ["g"]], "diff": {"h": {"a": 1}}},
+        [["a", "b"], ["g"]],
+        {"basis": "ab"},
+        {"basis": [["a", 1]]},
+        {"basis": [["a"]], "aug": [1]},
+    ],
+    ids=["no basis", "chain not an object", "unknown diff token", "top-level list",
+         "basis not a list", "token not a string", "aug not an object"],
+)
+def test_cli_rejects_malformed_complex_json(tmp_path, capsys, data):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    assert run(["adc", "validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "change",
+    ["drop source", "images not an object", "image for unknown token", "top-level list"],
+)
+def test_morphism_reader_rejects_malformed_json(change):
+    data = morphism_to_json(identity_morphism(c_delta(1)))
+    if change == "drop source":
+        del data["source"]
+    elif change == "images not an object":
+        data["images"] = [data["images"]]
+    elif change == "image for unknown token":
+        data["images"]["9"] = {"0": 1}
+    else:
+        data = [data]
+    with pytest.raises(ValueError):
+        morphism_from_json(data)
 
 
 def test_morphism_and_cell_readers_reject_non_integer_coefficients():
