@@ -277,49 +277,23 @@ def validate_complex(K):
 class AdcMorphism:
     """Degreewise assignment of target chains to source basis tokens.
 
-    The constructor enforces shape only (every source token has an image of
-    the matching degree, supported on the target); the chain-map equations,
-    augmentation compatibility and positivity are checked by
-    :func:`check_morphism`.
+    The constructor trusts its arguments and stores ``images`` as given: a
+    dict from every source token to a chain of that token's degree supported
+    on the target.  Maps built from already-valid parts are built with it
+    directly.  :func:`check_morphism` reports shape, chain-map, augmentation
+    and positivity problems, and the JSON reader rejects shape problems.
     """
 
     __slots__ = ("source", "target", "_images", "_hash")
 
     def __init__(self, source, target, images):
-        images = dict(images)
-        table = {}
-        for p in source.degrees():
-            for token in source.tokens(p):
-                if token not in images:
-                    raise ValueError(f"no image for basis token {token!r}")
-                chain = images[token]
-                if chain.degree != p:
-                    raise ValueError(
-                        f"image of {token!r} has degree {chain.degree}, expected {p}"
-                    )
-                if not target.contains_chain(chain):
-                    raise ValueError(f"image of {token!r} leaves the target complex")
-                table[token] = chain
-        if len(images) != sum(len(source.tokens(p)) for p in source.degrees()):
-            extra = set(images) - set(table)
-            raise ValueError(f"images for unknown tokens: {sorted(extra)}")
         super().__setattr__("source", source)
         super().__setattr__("target", target)
-        super().__setattr__("_images", table)
+        super().__setattr__("_images", images)
         super().__setattr__("_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AdcMorphism is immutable")
-
-    @classmethod
-    def _raw(cls, source, target, images):
-        """Internal constructor for images already known to be well-formed."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "_images", images)
-        object.__setattr__(self, "_hash", None)
-        return self
 
     def image_of(self, token):
         return self._images[token]
@@ -339,7 +313,7 @@ class AdcMorphism:
         if other.target != self.source:
             raise ValueError("composition mismatch")
         images = {t: self.apply(ch) for t, ch in other._images.items()}
-        return AdcMorphism._raw(other.source, self.target, images)
+        return AdcMorphism(other.source, self.target, images)
 
     def _key(self):
         return (
@@ -375,9 +349,31 @@ def _all_tokens(K):
     return [t for p in K.degrees() for t in K.tokens(p)]
 
 
-def check_morphism(f):
-    """Verify chain-map, augmentation and positivity conditions on generators."""
+def morphism_shape_problems(f):
+    """Problems with the shape of f: every source token needs an image of its
+    degree supported on the target, and no image may name another token."""
     problems = []
+    for p in f.source.degrees():
+        for token in f.source.tokens(p):
+            chain = f._images.get(token)
+            if chain is None:
+                problems.append(f"no image for basis token {token!r}")
+            elif chain.degree != p:
+                problems.append(f"image of {token!r} has degree {chain.degree}, expected {p}")
+            elif not f.target.contains_chain(chain):
+                problems.append(f"image of {token!r} leaves the target complex")
+    extra = set(f._images) - set(_all_tokens(f.source))
+    if extra:
+        problems.append(f"images for unknown tokens: {sorted(extra)}")
+    return problems
+
+
+def check_morphism(f):
+    """Report shape problems, or else chain-map, augmentation and positivity
+    problems on generators."""
+    problems = morphism_shape_problems(f)
+    if problems:
+        return ValidationReport(tuple(problems))
     K, L = f.source, f.target
     for p in K.degrees():
         for token in K.tokens(p):

@@ -250,7 +250,7 @@ def enumerate_morphisms(src, dst, fixed=None, coeff_bound=None):
                 new[token] = z
                 grown.append(new)
         partials = grown
-    morphisms = [AdcMorphism._raw(src, dst, images) for images in partials]
+    morphisms = [AdcMorphism(src, dst, images) for images in partials]
     morphisms.sort(key=lambda f: f._key()[2])
     return morphisms, complete
 

@@ -43,6 +43,8 @@ from .simplex import (
     identity_map,
     initial_inclusion,
     join_maps,
+    simplex_chain,
+    simplex_morphism,
     simplex_token,
     token_simplex,
     vertex_map,
@@ -60,10 +62,6 @@ from .tensor import (
 
 # Entries kept per constructor; verify_suite(3, 3) needs at most 56.
 MAP_CACHE_SIZE = 256
-
-
-def _unit(tup):
-    return Chain.unit(len(tup) - 1, simplex_token(tup))
 
 
 def _shift(tup, k):
@@ -84,10 +82,10 @@ def cylinder_to_cone(n):
             tup = token_simplex(token)
             shifted = _shift(tup, 1)
             images[tensor_token("0", token)] = (
-                _unit((0,)) if p == 0 else Chain.zero(p)
+                simplex_chain((0,)) if p == 0 else Chain.zero(p)
             )
-            images[tensor_token("1", token)] = _unit(shifted)
-            images[tensor_token("0,1", token)] = _unit((0,) + shifted)
+            images[tensor_token("1", token)] = simplex_chain(shifted)
+            images[tensor_token("0,1", token)] = simplex_chain((0,) + shifted)
     return AdcMorphism(src, dst, images)
 
 
@@ -109,22 +107,19 @@ def cylinder_attachment(m, n):
     block are pushed to the far end of the cylinder.
     """
     P = attachment_pushout(m, n)
-    src = c_delta(m + 1 + n)
-    images = {}
-    for p in src.degrees():
-        for token in src.tokens(p):
-            tup = token_simplex(token)
-            r = sum(1 for i in tup if i <= m)
-            if r == 0:
-                back = _shift(tup, -(m + 1))
-                images[token] = P.right.apply(tensor_chains(Chain.unit(0, "1"), _unit(back)))
-                continue
-            image = P.left.apply(_unit(tup))
-            if r == 1 and p > 0:
-                back = _shift(tup[1:], -(m + 1))
-                image = image + P.right.apply(tensor_chains(Chain.unit(1, "0,1"), _unit(back)))
-            images[token] = image
-    return AdcMorphism(src, P.complex, images)
+
+    def image(tup):
+        r = sum(1 for i in tup if i <= m)
+        if r == 0:
+            back = _shift(tup, -(m + 1))
+            return P.right.apply(tensor_chains(Chain.unit(0, "1"), simplex_chain(back)))
+        chain = P.left.apply(simplex_chain(tup))
+        if r == 1 and len(tup) > 1:
+            back = _shift(tup[1:], -(m + 1))
+            chain = chain + P.right.apply(tensor_chains(Chain.unit(1, "0,1"), simplex_chain(back)))
+        return chain
+
+    return simplex_morphism(m + 1 + n, P.complex, image)
 
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)
@@ -154,8 +149,8 @@ def _wedge_tuple_terms(m, tup):
 def _wedge_name(m, tup, pushout):
     """Interpret an ambient tuple lying in the wedge inside the pushout."""
     if tup[-1] <= m:
-        return pushout.left.apply(_unit(tup))
-    return pushout.right.apply(_unit(_shift(tup, -m)))
+        return pushout.left.apply(simplex_chain(tup))
+    return pushout.right.apply(simplex_chain(_shift(tup, -m)))
 
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)
@@ -163,16 +158,9 @@ def wedge_projection(m, n):
     """cDelta(m+1+n) -> cDelta(m) + cDelta(1+n): squash tuples through the
     middle vertex, killing those spanning it in more than two steps."""
     P = wedge_pushout(m, n)
-    src = c_delta(m + 1 + n)
-    images = {}
-    for p in src.degrees():
-        for token in src.tokens(p):
-            images[token] = Chain.make(p, [
-                item
-                for term in _wedge_tuple_terms(m, token_simplex(token))
-                for item in _wedge_name(m, term, P).items()
-            ])
-    return AdcMorphism(src, P.complex, images)
+    return simplex_morphism(m + 1 + n, P.complex, lambda tup: Chain.make(len(tup) - 1, [
+        item for term in _wedge_tuple_terms(m, tup) for item in _wedge_name(m, term, P).items()
+    ]))
 
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)
@@ -185,22 +173,16 @@ def wedge_inclusion(m, n):
         for token in P.complex.tokens(p):
             side, _, orig = token.partition(":")
             tup = token_simplex(orig)
-            images[token] = _unit(tup if side == "K" else _shift(tup, m))
+            images[token] = simplex_chain(tup if side == "K" else _shift(tup, m))
     return AdcMorphism(P.complex, dst, images)
 
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)
 def wedge_projection_endo(m, n):
     """The wedge projection followed by the subcomplex inclusion."""
-    src = c_delta(m + 1 + n)
-    images = {}
-    for p in src.degrees():
-        for token in src.tokens(p):
-            images[token] = Chain.make(p, [
-                (simplex_token(term), 1)
-                for term in _wedge_tuple_terms(m, token_simplex(token))
-            ])
-    return AdcMorphism(src, src, images)
+    return simplex_morphism(m + 1 + n, c_delta(m + 1 + n), lambda tup: Chain.make(
+        len(tup) - 1, [(simplex_token(term), 1) for term in _wedge_tuple_terms(m, tup)]
+    ))
 
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)
@@ -213,29 +195,17 @@ def partial_wedge_projection(m, n, phi):
     """
     if phi.src != n or phi.dst != 1:
         raise ValueError("phi must be a monotone map Delta(n) -> Delta(1)")
-    src = c_delta(m + 1 + n)
 
-    def bar(i):
-        return 0 if i <= m else phi(i - m - 1)
+    def image(tup):
+        split = next((k for k, i in enumerate(tup) if i > m and phi(i - m - 1) == 1), len(tup))
+        if split == 0:
+            return simplex_chain(tup)
+        suffix = tup[split:]
+        return Chain.make(len(tup) - 1, [
+            (simplex_token(term + suffix), 1) for term in _wedge_tuple_terms(m, tup[:split])
+        ])
 
-    images = {}
-    for p in src.degrees():
-        for token in src.tokens(p):
-            tup = token_simplex(token)
-            split = len(tup)
-            for k, i in enumerate(tup):
-                if bar(i) == 1:
-                    split = k
-                    break
-            if split == 0:
-                images[token] = _unit(tup)
-                continue
-            suffix = tup[split:]
-            images[token] = Chain.make(p, [
-                (simplex_token(term + suffix), 1)
-                for term in _wedge_tuple_terms(m, tup[:split])
-            ])
-    return AdcMorphism(src, src, images)
+    return simplex_morphism(m + 1 + n, c_delta(m + 1 + n), image)
 
 
 def interval_fold():
@@ -278,20 +248,15 @@ def from_slice_pair(a, T, n, c):
     the far end of the cylinder, tuples through the cone point from the
     edge component.
     """
-    L = T.h.target
-    images = {}
-    for p in range(n + 2):
-        for tup in itertools.combinations(range(n + 2), p + 1):
-            token = simplex_token(tup)
-            if tup == (0,):
-                images[token] = c
-            elif tup[0] == 0:
-                back = simplex_token(_shift(tup[1:], -1))
-                images[token] = T.h.image_of(tensor_token("0,1", back))
-            else:
-                back = simplex_token(_shift(tup, -1))
-                images[token] = T.h.image_of(tensor_token("1", back))
-    return AdcMorphism(c_delta(1 + n), L, images)
+
+    def image(tup):
+        if tup == (0,):
+            return c
+        if tup[0] == 0:
+            return T.h.image_of(tensor_token("0,1", simplex_token(_shift(tup[1:], -1))))
+        return T.h.image_of(tensor_token("1", simplex_token(_shift(tup, -1))))
+
+    return simplex_morphism(1 + n, T.h.target, image)
 
 
 # -- strong deformation retract data on nerve slices ----------------------
@@ -578,10 +543,10 @@ def _partial_wedge_checks(m_max, n_max):
     return out
 
 
-def _retract_checks_on_nerve(K, m, cap, label, coeff_bound=None):
-    """Section/retraction/homotopy identities on actual nerve tables."""
+def _retract_checks_on_nerve(K, m, cap, label):
+    """Section/retraction/homotopy identities on actual (unbounded, so complete) nerves."""
     out = []
-    N = nerve(K, cap + m + 1, coeff_bound)
+    N = nerve(K, cap + m + 1)
     u = identity_simplicial_map(N)
     b = N.simplices(m)[0]
     data = slice_retract_data(u, b, m)

@@ -10,15 +10,16 @@ Formats:
 
 Dictionaries are dumped with sorted keys, basis lists in declaration
 order, so the same value always serializes to the same bytes.  Reading
-rejects coefficients that are not JSON integers instead of truncating them.
+rejects a file of the wrong shape, a token outside its complex, and
+coefficients that are not JSON integers (instead of truncating them).
 """
 
 from __future__ import annotations
 
 import json
 
-from .cells import CellTableau
-from .chains import AdcMorphism, Chain, DirComplex
+from .cells import CellTableau, _check_shape
+from .chains import AdcMorphism, Chain, DirComplex, morphism_shape_problems
 
 
 def chain_to_json(chain):
@@ -96,7 +97,11 @@ def morphism_from_json(data):
         except KeyError:
             raise ValueError(f"image for unknown token {t!r}") from None
         images[t] = chain_from_json(p, entries)
-    return AdcMorphism(source, target, images)
+    f = AdcMorphism(source, target, images)
+    problems = morphism_shape_problems(f)
+    if problems:
+        raise ValueError(problems[0])
+    return f
 
 
 def cell_to_json(cell):
@@ -108,11 +113,15 @@ def cell_to_json(cell):
 
 
 def cell_from_json(K, data):
-    return CellTableau(
-        K,
-        tuple(chain_from_json(k, d) for k, d in enumerate(data["x0"])),
-        tuple(chain_from_json(k, d) for k, d in enumerate(data["x1"])),
-    )
+    _json_object(data, "a cell")
+    rows = []
+    for key in ("x0", "x1"):
+        if not isinstance(data.get(key), list):
+            raise ValueError(f"a cell needs an {key!r} list of chains")
+        rows.append(tuple(chain_from_json(k, d) for k, d in enumerate(data[key])))
+    cell = CellTableau(K, *rows)
+    _check_shape(cell)
+    return cell
 
 
 def dumps(data):

@@ -14,6 +14,9 @@ from functools import lru_cache
 
 from .chains import AdcMorphism, Chain, DirComplex
 
+# Distinct monotone maps kept by c_of_map: verify_suite(3, 3) uses 10,732.
+C_OF_MAP_CACHE_SIZE = 16384
+
 
 @dataclass(frozen=True)
 class MonotoneMap:
@@ -120,24 +123,31 @@ def c_delta(n):
     return DirComplex(basis, diff, aug)
 
 
-def chain_image_of_tuple(phi, tup):
-    """Image of a strictly increasing tuple under a monotone map, as a chain.
-
-    Repeated values collapse the simplex to zero.
-    """
-    image = tuple(phi(i) for i in tup)
-    if any(a == b for a, b in zip(image, image[1:])):
-        return Chain.zero(len(tup) - 1)
-    return Chain.unit(len(tup) - 1, simplex_token(image))
+def simplex_chain(tup):
+    """The basis chain of a strictly increasing tuple of vertices."""
+    return Chain.unit(len(tup) - 1, simplex_token(tup))
 
 
-@lru_cache(maxsize=None)
+def simplex_morphism(n, target, image):
+    """The map out of cDelta(n) sending each simplex, given as a strictly
+    increasing tuple, to the chain ``image(tup)`` of ``target``."""
+    K = c_delta(n)
+    # c_delta lists each level in combinations order; its tokens are the keys
+    return AdcMorphism(K, target, {
+        token: image(tup)
+        for p in K.degrees()
+        for token, tup in zip(K.tokens(p), itertools.combinations(range(n + 1), p + 1))
+    })
+
+
+@lru_cache(maxsize=C_OF_MAP_CACHE_SIZE)
 def c_of_map(phi):
-    """The chain-level morphism of a monotone map (functorially)."""
-    src = c_delta(phi.src)
-    dst = c_delta(phi.dst)
-    images = {}
-    for p in src.degrees():
-        for token in src.tokens(p):
-            images[token] = chain_image_of_tuple(phi, token_simplex(token))
-    return AdcMorphism(src, dst, images)
+    """The chain-level morphism of a monotone map; repeated values collapse a simplex to 0."""
+
+    def image(tup):
+        values = tuple(phi(i) for i in tup)
+        if any(a == b for a, b in zip(values, values[1:])):
+            return Chain.zero(len(tup) - 1)
+        return simplex_chain(values)
+
+    return simplex_morphism(phi.src, c_delta(phi.dst), image)

@@ -19,6 +19,9 @@ from .chains import (
 
 TENSOR_SEP = "(x)"
 
+# Distinct factor pairs kept by tensor_complex; verify_suite(2, 3) uses 4.
+TENSOR_CACHE_SIZE = 64
+
 
 def tensor_token(a, b):
     return f"{a}{TENSOR_SEP}{b}"
@@ -36,7 +39,7 @@ def tensor_chains(x, y):
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TENSOR_CACHE_SIZE)
 def tensor_complex(K, L):
     """Tensor product: product basis, Koszul-sign differential, product augmentation.
 

@@ -2,8 +2,8 @@
 
 A ``functools.lru_cache`` or ``functools.cache`` decorator in ``src/`` must
 pass ``maxsize`` as an integer literal or as a module-level integer
-constant, so a long-lived process holds bounded memory.  ``ALLOWED_UNBOUNDED``
-lists the caches that are not bounded yet; it must shrink when one is.
+constant, so a long-lived process holds bounded memory.  No cache is
+exempt.
 """
 
 import ast
@@ -11,10 +11,6 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "steiner_lab"
-
-# Their working sets need sizing first: c_of_map alone holds 10,732
-# entries after verify_suite(3, 3).
-ALLOWED_UNBOUNDED = {"c_of_map", "tensor_complex"}
 
 
 def _int_constants(tree):
@@ -63,9 +59,4 @@ def test_every_cache_has_a_finite_maxsize():
                 bound = _bound(decorator, constants)
                 if bound is None:
                     unbounded.add(node.name)
-    assert not unbounded - ALLOWED_UNBOUNDED, (
-        f"caches without a finite maxsize: {sorted(unbounded - ALLOWED_UNBOUNDED)}"
-    )
-    assert not ALLOWED_UNBOUNDED - unbounded, (
-        f"bounded now, drop from ALLOWED_UNBOUNDED: {sorted(ALLOWED_UNBOUNDED - unbounded)}"
-    )
+    assert not unbounded, f"caches without a finite maxsize: {sorted(unbounded)}"

@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +18,7 @@ from steiner_lab import (
     tensor_complex,
     validate_complex,
 )
+from steiner_lab.chains import _toposort
 
 
 def chain(degree, items):
@@ -139,18 +141,22 @@ def test_identity_passes_check(K):
 
 def test_morphism_shape_errors():
     K1, K0 = c_delta(1), c_delta(0)
-    with pytest.raises(ValueError):
-        AdcMorphism(K1, K0, {"0": chain(0, {"0": 1}), "1": chain(0, {"0": 1})})
-    with pytest.raises(ValueError):
-        AdcMorphism(
-            K1,
-            K0,
-            {
-                "0": chain(0, {"0": 1}),
-                "1": chain(0, {"0": 1}),
-                "0,1": chain(0, {"0": 1}),
-            },
-        )
+    missing = AdcMorphism(K1, K0, {"0": chain(0, {"0": 1}), "1": chain(0, {"0": 1})})
+    report = check_morphism(missing)
+    assert not report.ok
+    assert any("no image for basis token '0,1'" in p for p in report.problems)
+    wrong_degree = AdcMorphism(
+        K1,
+        K0,
+        {
+            "0": chain(0, {"0": 1}),
+            "1": chain(0, {"0": 1}),
+            "0,1": chain(0, {"0": 1}),
+        },
+    )
+    report = check_morphism(wrong_degree)
+    assert not report.ok
+    assert any("has degree 0, expected 1" in p for p in report.problems)
 
 
 # -- atoms -------------------------------------------------------------------
@@ -268,3 +274,24 @@ def test_strong_order_is_a_linear_extension():
                 assert position[s] < position[t]
             for s in plus.support():
                 assert position[t] < position[s]
+
+
+@given(
+    st.integers(1, 6),
+    st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=10),
+)
+@settings(max_examples=300, deadline=None)
+def test_toposort_matches_networkx(size, pairs):
+    nodes = [f"v{i}" for i in range(size)]
+    edges = {(nodes[a % size], nodes[b % size]) for a, b in pairs}
+    graph = nx.DiGraph(edges)
+    graph.add_nodes_from(nodes)
+    order, unique = _toposort(nodes, edges)
+    if not nx.is_directed_acyclic_graph(graph):  # a self-loop is a cycle too
+        assert (order, unique) == (None, False)
+        return
+    assert sorted(order) == sorted(nodes)
+    position = {n: i for i, n in enumerate(order)}
+    assert all(position[a] < position[b] for a, b in edges)
+    reference = list(nx.topological_sort(graph))
+    assert unique == all(graph.has_edge(a, b) for a, b in zip(reference, reference[1:]))

@@ -1,6 +1,11 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steiner_lab import Chain, c_delta, atom_cell, identity_morphism
 from steiner_lab.cli import run
@@ -237,7 +242,14 @@ def test_cli_rejects_malformed_complex_json(tmp_path, capsys, data):
 
 @pytest.mark.parametrize(
     "change",
-    ["drop source", "images not an object", "image for unknown token", "top-level list"],
+    [
+        "drop source",
+        "images not an object",
+        "image for unknown token",
+        "top-level list",
+        "missing image",
+        "image outside the target",
+    ],
 )
 def test_morphism_reader_rejects_malformed_json(change):
     data = morphism_to_json(identity_morphism(c_delta(1)))
@@ -247,10 +259,139 @@ def test_morphism_reader_rejects_malformed_json(change):
         data["images"] = [data["images"]]
     elif change == "image for unknown token":
         data["images"]["9"] = {"0": 1}
+    elif change == "missing image":
+        del data["images"]["0,1"]
+    elif change == "image outside the target":
+        data["images"]["0,1"] = {"9": 1}
     else:
         data = [data]
     with pytest.raises(ValueError):
         morphism_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {},
+        [{"0": 1}],
+        {"x0": 5, "x1": 5},
+        {"x0": [{"0": 1}], "x1": [{"0": 1}, {"0,1": 1}]},
+        {"x0": [{"9": 1}], "x1": [{"9": 1}]},
+    ],
+    ids=["no rows", "top-level list", "rows not lists", "unequal rows", "token outside"],
+)
+def test_cell_reader_rejects_malformed_json(data):
+    with pytest.raises(ValueError):
+        cell_from_json(c_delta(1), data)
+
+
+# -- fuzzing the JSON boundary ---------------------------------------------------
+
+def _complex_token_sites(data, prefix=()):
+    """(path of a container, key or index) of every token name in a complex."""
+    return (
+        [(prefix + ("basis", p), i) for p, level in enumerate(data["basis"])
+         for i in range(len(level))]
+        + [(prefix + ("diff",), t) for t in data["diff"]]
+        + [(prefix + ("diff", t), s) for t, chain in data["diff"].items() for s in chain]
+        + [(prefix + ("aug",), t) for t in data["aug"]]
+    )
+
+
+def _token_sites(data, is_morphism):
+    if not is_morphism:
+        return _complex_token_sites(data)
+    return (
+        _complex_token_sites(data["source"], ("source",))
+        + _complex_token_sites(data["target"], ("target",))
+        + [(("images",), t) for t in data["images"]]
+        + [(("images", t), s) for t, chain in data["images"].items() for s in chain]
+    )
+
+
+def _positions(data, path=()):
+    """The path of every value in a JSON tree, the root included."""
+    yield path
+    if isinstance(data, (dict, list)):
+        for key in data if isinstance(data, dict) else range(len(data)):
+            yield from _positions(data[key], path + (key,))
+
+
+def _at(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+def _mutate(draw, data, is_morphism):
+    """One malformed copy of a valid complex or morphism file."""
+    data = copy.deepcopy(data)
+    kinds = ["drop a key", "change a type", "rename a token"]
+    if is_morphism:
+        kinds += ["drop an image", "image outside the target"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "drop a key":
+        required = [("source",), ("target",), ("images",), ("source", "basis"),
+                    ("target", "basis")] if is_morphism else [("basis",)]
+        *parent, key = draw(st.sampled_from(required))
+        del _at(data, parent)[key]
+    elif kind == "change a type":
+        path = draw(st.sampled_from(list(_positions(data))))
+        old = _at(data, path)
+        new = draw(st.sampled_from(
+            [v for v in (0, 1.5, True, None, "x", [], {}) if type(v) is not type(old)]
+        ))
+        if not path:
+            return new
+        _at(data, path[:-1])[path[-1]] = new
+    elif kind == "rename a token":
+        path, key = draw(st.sampled_from(_token_sites(data, is_morphism)))
+        container = _at(data, path)
+        if isinstance(container, list):
+            container[key] = "renamed"
+        else:
+            container["renamed"] = container.pop(key)
+    else:
+        images = data["images"]
+        token = draw(st.sampled_from(sorted(images)))
+        if kind == "drop an image":
+            del images[token]
+        else:
+            degree = next(p for p, level in enumerate(data["source"]["basis"]) if token in level)
+            elsewhere = [t for p, level in enumerate(data["target"]["basis"]) if p != degree
+                         for t in level]
+            images[token] = {draw(st.sampled_from(elsewhere + ["renamed"])): 1}
+    return data
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_cli_rejects_mutated_json_files(mutate_morphism, data):
+    u = c_of_map(MonotoneMap(2, 1, (0, 0, 1)))
+    complex_data, morphism_data = complex_to_json(u.source), morphism_to_json(u)
+    if mutate_morphism:
+        morphism_data = _mutate(data.draw, morphism_data, True)
+    else:
+        complex_data = _mutate(data.draw, complex_data, False)
+    with tempfile.TemporaryDirectory() as tmp:
+        k_path, u_path = f"{tmp}/complex.json", f"{tmp}/morphism.json"
+        for path, value in ((k_path, complex_data), (u_path, morphism_data)):
+            with open(path, "w") as handle:
+                json.dump(value, handle)
+        commands = [["slice", k_path, u_path, "0", "--cells", "0"]]
+        if not mutate_morphism:
+            commands.append(["adc", "validate", k_path])
+        for argv in commands:
+            code, out, err = _run_quietly(argv)
+            assert (code, out) == (2, ""), (argv[0], err)
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_morphism_and_cell_readers_reject_non_integer_coefficients():
