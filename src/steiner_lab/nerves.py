@@ -220,9 +220,6 @@ def enumerate_morphisms(src, dst, fixed=None, coeff_bound=None):
     fixed = fixed or {}
     complete = True
     partials = [{}]
-    # one solve per distinct target: the boundary image (its degree fixes
-    # p), or the augmentation value in degree 0
-    solved = {}
     for token in _generator_order(src):
         p = src.degree_of(token)
         grown = []
@@ -235,12 +232,10 @@ def enumerate_morphisms(src, dst, fixed=None, coeff_bound=None):
                     for t, coeff in src.diff_of(token).items()
                     for s, k in assignment[t].items()
                 ])
-            candidates = solved.get(target)
-            if candidates is None:
-                candidates = solved[target] = (
-                    solve_augmentation(dst, target, coeff_bound) if p == 0
-                    else solve_boundary(dst, p, target, coeff_bound)
-                )
+            candidates = (
+                solve_augmentation(dst, target, coeff_bound) if p == 0
+                else solve_boundary(dst, p, target, coeff_bound)
+            )
             complete &= candidates.complete
             pin = fixed.get(token)
             for z in candidates.chains:

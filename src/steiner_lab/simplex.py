@@ -9,6 +9,7 @@ coproduct, so no object-level construction is needed.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -91,7 +92,8 @@ def final_inclusion(m, n):
 
 
 def simplex_token(tup):
-    return ",".join(str(i) for i in tup)
+    # interned, so the chains of every map share cDelta(n)'s token objects
+    return sys.intern(",".join(str(i) for i in tup))
 
 
 def token_simplex(token):

@@ -12,6 +12,12 @@ finitely many generators whose differential tops out there.
 When no such certificate exists (cyclic precedence, zero differentials,
 non-positive augmentations) enumeration falls back to a bounded search and
 the result is flagged as possibly incomplete.
+
+Cell, slice and nerve enumerations ask the same question many times, so each
+complex keeps its answers in ``K._strong_cache["solved"]``, keyed by degree,
+target and coefficient bound.  The memo is bounded: past ``SOLVE_MEMO_SIZE``
+entries it drops the oldest one.  Errors are raised again on every call,
+never stored.
 """
 
 from __future__ import annotations
@@ -19,6 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chains import Chain, strong_loopfree_order
+
+# Solutions kept per complex: all-dimension cells of Δ3⊗Δ2 need 1,934.
+SOLVE_MEMO_SIZE = 4096
 
 
 class SolverError(ValueError):
@@ -169,12 +178,26 @@ def solve_boundary(K, p, target, bound=None):
         raise ValueError("use solve_augmentation in degree 0")
     if target.degree != p - 1:
         raise ValueError("target degree mismatch")
-    return _dispatch(K, p, dict(target.items()), bound)
+    return _memo_solve(K, p, target, bound)
 
 
 def solve_augmentation(K, value, bound=None):
     """All positive degree-0 chains z of K with e(z) = value."""
-    return _dispatch(K, 0, {"": value} if value else {}, bound)
+    return _memo_solve(K, 0, value, bound)
+
+
+def _memo_solve(K, p, target, bound):
+    """``target`` is the boundary chain for p >= 1, the augmentation value for p = 0."""
+    memo = K._strong_cache.setdefault("solved", {})
+    key = (p, target, bound)
+    result = memo.get(key)
+    if result is None:
+        raw = dict(target.items()) if p else ({"": target} if target else {})
+        result = _dispatch(K, p, raw, bound)
+        if len(memo) >= SOLVE_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = result
+    return result
 
 
 def _dispatch(K, p, target, bound):

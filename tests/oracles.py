@@ -8,7 +8,9 @@ enumerations is meaningful evidence.
 
 import itertools
 
-from steiner_lab import AdcMorphism, Chain
+import networkx as nx
+
+from steiner_lab import AdcMorphism, Chain, atom_tableau
 
 
 def bounded_chains(K, p, bound):
@@ -73,6 +75,22 @@ def brute_cells(K, dim, bound):
     from steiner_lab import CellTableau
 
     return [CellTableau(K, x0, x1) for x0, x1 in stacks]
+
+
+def loopfree_by_networkx(K):
+    """Loop-freeness as a networkx cycle check: in each degree i, no cycle in
+    the graph with an edge a -> b whenever a is in the source row and b in
+    the target row, in degree i, of the atom of a higher generator."""
+    for i in K.degrees():
+        graph = nx.DiGraph()
+        graph.add_nodes_from(K.tokens(i))
+        for p in range(i + 1, K.dim + 1):
+            for t in K.tokens(p):
+                x0, x1 = atom_tableau(K, t).rows[i]
+                graph.add_edges_from(itertools.product(x0.support(), x1.support()))
+        if not nx.is_directed_acyclic_graph(graph):
+            return False
+    return True
 
 
 def functoriality_failures(X, through, generators_only=False):

@@ -1,6 +1,6 @@
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from steiner_lab import (
     AdcMorphism,
@@ -19,6 +19,7 @@ from steiner_lab import (
     validate_complex,
 )
 from steiner_lab.chains import _toposort
+from oracles import loopfree_by_networkx
 
 
 def chain(degree, items):
@@ -295,3 +296,26 @@ def test_toposort_matches_networkx(size, pairs):
     assert all(position[a] < position[b] for a, b in edges)
     reference = list(nx.topological_sort(graph))
     assert unique == all(graph.has_edge(a, b) for a, b in zip(reference, reference[1:]))
+
+
+@st.composite
+def small_complexes(draw):
+    """Complexes of dimension <= 2 with arbitrary differentials in {-1, 0, 1, 2}."""
+    basis = [[f"v{i}" for i in range(draw(st.integers(1, 3)))]]
+    for p in (1, 2):
+        basis.append([f"{'eg'[p - 1]}{i}" for i in range(draw(st.integers(0, 3)))])
+    diff = {
+        t: Chain.make(p - 1, {s: draw(st.integers(-1, 2)) for s in basis[p - 1]})
+        for p in (1, 2)
+        for t in basis[p]
+    }
+    return DirComplex(basis, diff, {t: 1 for t in basis[0]})
+
+
+@given(small_complexes())
+@example(c_delta(3))
+@example(tensor_complex(c_delta(1), c_delta(2)))
+@example(two_loop_complex())  # a 2-cycle among the vertices
+@settings(max_examples=200, deadline=None)
+def test_is_loopfree_matches_networkx(K):
+    assert is_loopfree(K) == loopfree_by_networkx(K)

@@ -3,13 +3,14 @@ import pytest
 from oracles import brute_morphisms, functoriality_failures
 from steiner_lab import (
     Chain,
+    DirComplex,
     c_delta,
     decalage_homotopy,
     hom_enumerate,
     nerve,
-    nerves,
     over_slice,
     simplex_facet,
+    solve,
     under_slice,
 )
 from steiner_lab.nerves import (
@@ -35,7 +36,10 @@ from steiner_lab.simplex import (
     identity_map,
     vertex_map,
 )
+from steiner_lab.retract import attachment_pushout, wedge_pushout
+from steiner_lab.serialize import complex_from_json, complex_to_json
 from steiner_lab.tensor import tensor_complex
+from test_cells import two_loop_complex
 
 
 def test_facet_accessors():
@@ -75,6 +79,37 @@ def test_hom_enumeration_matches_brute_force(n, K, bound):
             c > bound for p in f.source.degrees() for t in f.source.tokens(p)
             for _, c in f.image_of(t).items()
         )
+
+
+# every complex the suite enumerates into, with (n, bound) small enough that
+# the brute force stays cheap
+BRUTE_CASES = {
+    "point": (c_delta(0), 2, 2),
+    "interval": (c_delta(1), 2, 2),
+    "triangle": (c_delta(2), 2, 2),
+    "tetrahedron": (c_delta(3), 2, 1),
+    "square": (tensor_complex(c_delta(1), c_delta(1)), 2, 1),
+    "prism": (tensor_complex(c_delta(2), c_delta(1)), 1, 1),
+    "wedge": (wedge_pushout(1, 1).complex, 2, 1),
+    "attachment": (attachment_pushout(1, 1).complex, 1, 1),
+    "two-loop": (two_loop_complex(), 2, 2),
+    "non-unitary": (
+        DirComplex([["v", "w"], ["g"]], {"g": Chain.make(0, {"w": 2, "v": -2})}, {"v": 1, "w": 1}),
+        2, 2,
+    ),
+    "disconnected": (DirComplex([["a", "b"]], {}, {"a": 1, "b": 1}), 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", BRUTE_CASES)
+def test_bounded_hom_enumeration_equals_brute_force_cold_and_warm(name):
+    K, n, bound = BRUTE_CASES[name]
+    K = complex_from_json(complex_to_json(K))  # a cold solve memo
+    brute = brute_morphisms(c_delta(n), K, bound)
+    cold = hom_enumerate(n, K, coeff_bound=bound)
+    warm = hom_enumerate(n, K, coeff_bound=bound)
+    assert len(set(brute)) == len(brute) == len(cold)
+    assert set(cold) == set(brute) and warm == cold
 
 
 def test_interval_nerve_is_the_interval():
@@ -360,20 +395,21 @@ def test_identity_failures_match_the_triple_loop_oracle(fault, generators_only):
 
 def test_enumeration_solves_each_boundary_target_once(monkeypatch):
     calls = []
-    solve_boundary = nerves.solve_boundary
+    dispatch = solve._dispatch
 
     def counting(*args):
         calls.append(args)
-        return solve_boundary(*args)
+        return dispatch(*args)
 
-    monkeypatch.setattr(nerves, "solve_boundary", counting)
-    assert len(hom_enumerate(4, c_delta(3))) == 1316
-    assert len(calls) <= 30  # one per distinct boundary target
+    monkeypatch.setattr(solve, "_dispatch", counting)
+    K = complex_from_json(complex_to_json(c_delta(3)))  # its memo starts empty
+    assert len(hom_enumerate(4, K)) == 1316
+    assert len(calls) == 31  # 30 boundary targets and 1 augmentation value
+    assert len(hom_enumerate(4, K)) == 1316
+    assert len(calls) == 31
 
 
 def test_bounded_enumeration_stays_marked_incomplete():
-    from test_cells import two_loop_complex
-
     K = two_loop_complex()
     morphisms, complete = enumerate_morphisms(c_delta(1), K, coeff_bound=1)
     assert len(morphisms) == 6 and not complete

@@ -97,3 +97,12 @@ def test_triangle_differential():
     d = K.diff_of("0,1,2")
     assert d.coeff("1,2") == 1 and d.coeff("0,2") == -1 and d.coeff("0,1") == 1
     assert all(K.aug_of(t) == 1 for t in K.tokens(0))
+
+
+def test_map_images_share_the_simplex_tokens():
+    canonical = {t: t for p in c_delta(3).degrees() for t in c_delta(3).tokens(p)}
+    for phi in all_monotone_maps(2, 3):
+        f = c_of_map(phi)
+        for t in f.source.tokens(1) + f.source.tokens(2):
+            for token, _ in f.image_of(t).items():
+                assert token is canonical[token]

@@ -1,0 +1,85 @@
+"""The per-complex solve memo: solves it saves, and answers it cannot change."""
+
+import pytest
+
+from steiner_lab import (
+    Chain,
+    c_delta,
+    enumerate_cells,
+    enumerate_slice_cells,
+    identity_morphism,
+    solve,
+)
+from steiner_lab.serialize import complex_from_json, complex_to_json
+from steiner_lab.solve import SolverError, solve_boundary
+from steiner_lab.tensor import tensor_complex
+from test_cells import two_loop_complex
+
+
+def fresh(K):
+    """An equal complex with its own, empty memo."""
+    return complex_from_json(complex_to_json(K))
+
+
+@pytest.fixture
+def dispatches(monkeypatch):
+    """Every real solve, as the size of the memo when it was made."""
+    sizes = []
+    dispatch = solve._dispatch
+
+    def counting(K, *args):
+        sizes.append(len(K._strong_cache.get("solved", ())))
+        return dispatch(K, *args)
+
+    monkeypatch.setattr(solve, "_dispatch", counting)
+    return sizes
+
+
+def prism_census(K):
+    enums = [enumerate_cells(K, i) for i in range(K.dim + 1)]
+    return [([(c.x0, c.x1) for c in e.cells], e.complete) for e in enums]
+
+
+def test_cell_census_solves_each_target_once(dispatches):
+    K = fresh(tensor_complex(c_delta(3), c_delta(2)))
+    census = prism_census(K)
+    assert [len(cells) for cells, _ in census] == [12, 197, 1142, 2025, 2130, 2131]
+    assert len(dispatches) == 1934  # distinct (degree, target, bound) keys
+    prism_census(K)
+    assert len(dispatches) == 1934
+
+
+def test_slice_census_solves_each_target_once(dispatches):
+    u = identity_morphism(fresh(c_delta(4)))
+    for d in range(5):
+        enumerate_slice_cells(u, Chain.unit(0, "0"), d)
+    assert len(dispatches) == 100
+
+
+def test_bound_is_part_of_the_key():
+    K = two_loop_complex()
+    for bound in (2, 3, 4):
+        ours = enumerate_cells(K, 1, coeff_bound=bound)
+        alone = enumerate_cells(two_loop_complex(), 1, coeff_bound=bound)
+        assert ours == alone and not ours.complete
+    assert len(enumerate_cells(K, 1, coeff_bound=2).cells) < len(ours.cells)
+
+
+def test_errors_are_never_memoized(dispatches):
+    K = two_loop_complex()
+    target = Chain.make(0, {"a": 1, "b": -1})
+    for _ in range(3):
+        with pytest.raises(SolverError, match="bound"):
+            solve_boundary(K, 1, target)
+    assert len(dispatches) == 3 and not K._strong_cache.get("solved")
+
+
+def test_memo_is_bounded_and_eviction_keeps_answers(monkeypatch, dispatches):
+    prism = tensor_complex(c_delta(3), c_delta(2))
+    expected = prism_census(fresh(prism))
+    monkeypatch.setattr(solve, "SOLVE_MEMO_SIZE", 8)
+    K = fresh(prism)
+    del dispatches[:]
+    assert prism_census(K) == expected
+    assert len(dispatches) > 1934  # evicted targets were solved again
+    assert max(dispatches) <= 8 and len(K._strong_cache["solved"]) == 8
