@@ -19,9 +19,13 @@ def main():
     args = parser.parse_args()
 
     started = time.time()
-    report = verify_suite(
-        args.m_max, args.n_max, include_nerve_retract=not args.skip_nerve_retract
-    )
+    try:
+        report = verify_suite(
+            args.m_max, args.n_max, include_nerve_retract=not args.skip_nerve_retract
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
     print(report)
     status = "ALL PASS" if report.all_passed else "FAILURES PRESENT"
     print(f"{status} ({len(report.results)} identities, {time.time() - started:.1f}s)")

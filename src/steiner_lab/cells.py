@@ -192,6 +192,8 @@ def enumerate_cells(K, dim, coeff_bound=None):
     loop-free complex with pointed differentials), otherwise the result is
     bounded by ``coeff_bound`` and marked possibly incomplete.
     """
+    if dim < 0:
+        raise ValueError(f"cell dimension must be non-negative, got {dim}")
     complete = True
     zero = solve_augmentation(K, 1, coeff_bound)
     complete &= zero.complete

@@ -227,6 +227,7 @@ def cmd_verify(args):
                 {
                     "identity": r.name,
                     "passed": r.passed,
+                    "instances": r.instances,
                     "counterexample": r.counterexample,
                 }
                 for r in report.results

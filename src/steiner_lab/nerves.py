@@ -16,13 +16,13 @@ from .simplex import (
     MonotoneMap,
     all_monotone_maps,
     c_delta,
-    c_of_map,
     degeneracy_map,
     face_map,
     identity_map,
     initial_inclusion,
     final_inclusion,
     join_maps,
+    precompose,
 )
 from .solve import solve_augmentation, solve_boundary
 
@@ -258,13 +258,15 @@ def hom_enumerate(n, K, coeff_bound=None):
 
 def nerve(K, cap, coeff_bound=None):
     """The nerve of nu(K): n-simplices are morphisms from the n-simplex chains."""
+    if cap < 0:
+        raise ValueError(f"nerve cap must be non-negative, got {cap}")
 
     def level(n):
         morphisms, complete = enumerate_morphisms(c_delta(n), K, coeff_bound=coeff_bound)
         N.complete &= complete
         return morphisms
 
-    N = SimplicialSetTrunc(cap, level, lambda phi, x: x.after(c_of_map(phi)), label=f"N({K!r})")
+    N = SimplicialSetTrunc(cap, level, lambda phi, x: precompose(x, phi), label=f"N({K!r})")
     return N
 
 

@@ -40,9 +40,12 @@ from .simplex import (
     c_of_map,
     constant_map,
     final_inclusion,
+    gather,
     identity_map,
     initial_inclusion,
     join_maps,
+    precompose,
+    reindex_plan,
     simplex_chain,
     simplex_morphism,
     simplex_token,
@@ -60,12 +63,34 @@ from .tensor import (
 )
 
 
-# Entries kept per constructor; verify_suite(3, 3) needs at most 56.
+# Entries kept per constructor; verify_suite(3, 3) needs at most 121 (the
+# cylinder plans, one per psi).
 MAP_CACHE_SIZE = 256
 
 
 def _shift(tup, k):
     return tuple(i + k for i in tup)
+
+
+@lru_cache(maxsize=MAP_CACHE_SIZE)
+def _cylinder_plan(psi):
+    """reindex_plan(psi) on each end and the edge of the interval:
+    a(x)t goes to a(x)psi(t)."""
+    I = c_delta(1)
+    return tuple(
+        (tensor_token(a, t), q + p, None if s is None else tensor_token(a, s))
+        for q in I.degrees()
+        for a in I.tokens(q)
+        for t, p, s in reindex_plan(psi)
+    )
+
+
+def cylinder_precompose(f, psi):
+    """f . (id (x) c(psi)) for f out of interval (x) cDelta(psi.dst), as a gather."""
+    I = c_delta(1)
+    if f.source != tensor_complex(I, c_delta(psi.dst)):
+        raise ValueError("composition mismatch")
+    return gather(f, tensor_complex(I, c_delta(psi.src)), _cylinder_plan(psi))
 
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)
@@ -286,13 +311,13 @@ class SliceRetract:
 def slice_retract_data(u, b, m):
     """Build the retract data for the relative under-slice of u at b."""
     big = map_under_slice(u, b, m)
-    b_last = b.after(c_of_map(vertex_map(m, m)))
+    b_last = precompose(b, vertex_map(m, m))
     small = map_under_slice(u, b_last, 0)
 
     def r_fn(n, pair):
         y, x = pair
         spine = MonotoneMap(1 + n, m + 1 + n, tuple(m + k for k in range(n + 2)))
-        return (y.after(c_of_map(spine)), x)
+        return (precompose(y, spine), x)
 
     def s_fn(n, pair):
         y_prime, x = pair
@@ -314,8 +339,11 @@ def slice_retract_data(u, b, m):
 
 @dataclass(frozen=True)
 class IdentityResult:
+    """One identity's verdict and the number of instances it compared."""
+
     name: str
     passed: bool
+    instances: int
     counterexample: str = ""
 
 
@@ -346,26 +374,28 @@ def _first_difference(f, g):
     return ""
 
 
-def _identity(name, failures):
+def _identity(name, failures, instances):
     """The result of an identity, with its first failure as counterexample."""
-    return IdentityResult(name, not failures, failures[0] if failures else "")
+    return IdentityResult(name, not failures, instances, failures[0] if failures else "")
 
 
 def _morphism_identity(name, lhs, rhs):
-    return _identity(name, [] if lhs == rhs else [_first_difference(lhs, rhs)])
+    return _identity(name, [] if lhs == rhs else [_first_difference(lhs, rhs)], 1)
 
 
 def _chain_map_result(name, f):
-    return _identity(name, check_morphism(f).problems)
+    return _identity(name, check_morphism(f).problems, 1)
 
 
 def _cone_checks(n_max):
     out = []
     for n in range(n_max + 1):
         out.append(_chain_map_result(f"cone collapse is a chain map (n={n})", cylinder_to_cone(n)))
+    instances = 0
     for n in range(n_max + 1):
         for n2 in range(n_max + 1):
             for psi in all_monotone_maps(n2, n):
+                instances += 1
                 lhs = cylinder_to_cone(n).after(
                     tensor_morphism(identity_morphism(c_delta(1)), c_of_map(psi))
                 )
@@ -373,11 +403,11 @@ def _cone_checks(n_max):
                 if lhs != rhs:
                     out.append(
                         IdentityResult(
-                            "cone collapse naturality", False, f"n={n}, psi={psi.image}"
+                            "cone collapse naturality", False, instances, f"n={n}, psi={psi.image}"
                         )
                     )
                     return out
-    out.append(IdentityResult(f"cone collapse naturality (n, n' <= {n_max})", True))
+    out.append(IdentityResult(f"cone collapse naturality (n, n' <= {n_max})", True, instances))
     return out
 
 
@@ -390,34 +420,34 @@ def _attachment_checks(m_max, n_max):
                 f"cylinder attachment is a chain map (m={m}, n={n})", cylinder_attachment(m, n)
             )
         )
-    for m, n in pairs:
-        lhs = cylinder_attachment(m, n).after(c_of_map(initial_inclusion(m, n)))
-        rhs = attachment_pushout(m, n).left.after(c_of_map(initial_inclusion(m, n)))
-        res = _morphism_identity(
-            f"cylinder attachment fixes the initial face (m={m}, n={n})", lhs, rhs
-        )
-        if not res.passed:
-            out.append(res)
+    for k, (m, n) in enumerate(pairs, 1):
+        lhs = precompose(cylinder_attachment(m, n), initial_inclusion(m, n))
+        rhs = precompose(attachment_pushout(m, n).left, initial_inclusion(m, n))
+        if lhs != rhs:
+            out.append(IdentityResult(
+                f"cylinder attachment fixes the initial face (m={m}, n={n})",
+                False, k, _first_difference(lhs, rhs),
+            ))
             return out
-    out.append(IdentityResult("cylinder attachment fixes the initial face", True))
+    out.append(IdentityResult("cylinder attachment fixes the initial face", True, len(pairs)))
 
     failures = []
+    instances = 0
     for m, n in pairs:
         P = attachment_pushout(m, n)
         for m2, n2 in pairs:
             for phi in all_monotone_maps(m2, m):
                 for psi in all_monotone_maps(n2, n):
+                    instances += 1
+                    joined = join_maps(phi, psi)
                     glue = attachment_pushout(m2, n2).induced(
-                        P.left.after(c_of_map(join_maps(phi, psi))),
-                        P.right.after(
-                            tensor_morphism(identity_morphism(c_delta(1)), c_of_map(psi))
-                        ),
+                        precompose(P.left, joined), cylinder_precompose(P.right, psi)
                     )
-                    lhs = cylinder_attachment(m, n).after(c_of_map(join_maps(phi, psi)))
+                    lhs = precompose(cylinder_attachment(m, n), joined)
                     rhs = glue.after(cylinder_attachment(m2, n2))
                     if lhs != rhs:
                         failures.append(f"(m,n)=({m},{n}) phi={phi.image} psi={psi.image}")
-    out.append(_identity("cylinder attachment naturality", failures))
+    out.append(_identity("cylinder attachment naturality", failures, instances))
     return out
 
 
@@ -457,6 +487,7 @@ def _fold_square_checks(n_max):
 def _wedge_checks(m_max, n_max):
     out = []
     failures = []
+    instances = 0
     for m in range(m_max + 1):
         for n in range(n_max + 1):
             P = wedge_pushout(m, n)
@@ -488,23 +519,27 @@ def _wedge_checks(m_max, n_max):
             )
             for n2 in range(n_max + 1):
                 for psi in all_monotone_maps(n2, n):
+                    instances += 1
                     psi1 = join_maps(identity_map(m), psi)
                     psi2 = join_maps(identity_map(0), psi)
-                    glue = wedge_pushout(m, n2).induced(P.left, P.right.after(c_of_map(psi2)))
-                    lhs = f.after(c_of_map(psi1))
+                    glue = wedge_pushout(m, n2).induced(P.left, precompose(P.right, psi2))
+                    lhs = precompose(f, psi1)
                     rhs = glue.after(wedge_projection(m, n2))
                     if lhs != rhs:
                         failures.append(f"(m,n,n')=({m},{n},{n2}) psi={psi.image}")
-    out.append(_identity("wedge projection naturality", failures))
+    out.append(_identity("wedge projection naturality", failures, instances))
     return out
 
 
 def _partial_wedge_checks(m_max, n_max):
     out = []
     chain_failures = []
+    checks = 0
     for m in range(m_max + 1):
         for n in range(n_max + 1):
             endo = wedge_projection_endo(m, n)
+            # per phi a chain-map and an absorption check, then two endpoints
+            checks += 2 * len(all_monotone_maps(n, 1)) + 2
             for phi in all_monotone_maps(n, 1):
                 f_phi = partial_wedge_projection(m, n, phi)
                 rep = check_morphism(f_phi)
@@ -520,16 +555,20 @@ def _partial_wedge_checks(m_max, n_max):
             if partial_wedge_projection(m, n, constant_map(n, 1, 0)) != endo:
                 chain_failures.append(f"phi=0 endpoint (m,n)=({m},{n})")
     out.append(
-        _identity("partial wedge projections: chain maps, endpoints, absorption", chain_failures)
+        _identity(
+            "partial wedge projections: chain maps, endpoints, absorption", chain_failures, checks
+        )
     )
     coherence_failures = []
+    instances = 0
     for m in range(m_max + 1):
         for n in range(n_max + 1):
             for n2 in range(n_max + 1):
                 for psi in all_monotone_maps(n2, n):
                     psi1 = join_maps(identity_map(m), psi)
                     for phi in all_monotone_maps(n, 1):
-                        lhs = partial_wedge_projection(m, n, phi).after(c_of_map(psi1))
+                        instances += 1
+                        lhs = precompose(partial_wedge_projection(m, n, phi), psi1)
                         rhs = c_of_map(psi1).after(
                             partial_wedge_projection(m, n2, phi.compose(psi))
                         )
@@ -538,7 +577,9 @@ def _partial_wedge_checks(m_max, n_max):
                                 f"(m,n,n')=({m},{n},{n2}) phi={phi.image} psi={psi.image}"
                             )
     out.append(
-        _identity("partial wedge coherence with final-block operators", coherence_failures)
+        _identity(
+            "partial wedge coherence with final-block operators", coherence_failures, instances
+        )
     )
     return out
 
@@ -555,7 +596,10 @@ def _retract_checks_on_nerve(K, m, cap, label):
     sr_failures = []
     hom_failures = []
     square_failures = []
-    for n in range(min(data.big.cap, cap) + 1):
+    levels = range(min(data.big.cap, cap) + 1)
+    small_pairs = sum(len(data.small.simplices(n)) for n in levels)
+    big_pairs = sum(len(data.big.simplices(n)) for n in levels)
+    for n in levels:
         for pair in data.small.simplices(n):
             if r(n, s(n, pair)) != pair:
                 rs_failures.append(f"{label}: r.s misses at level {n}")
@@ -567,22 +611,32 @@ def _retract_checks_on_nerve(K, m, cap, label):
                 hom_failures.append(f"{label}: h(1) != id at level {n}")
             if data.homotopy(constant_map(n, 1, 0), pair) != s(n, r(n, pair)):
                 sr_failures.append(f"{label}: h(0) != s.r at level {n}")
-    out.append(_identity(f"retraction has section on {label}", rs_failures))
-    out.append(_identity(f"homotopy endpoints on {label}", hom_failures + sr_failures))
-    out.append(_identity(f"strong retract square on {label}", square_failures))
+    out.append(_identity(f"retraction has section on {label}", rs_failures, small_pairs))
+    out.append(_identity(
+        f"homotopy endpoints on {label}", hom_failures + sr_failures, 2 * big_pairs
+    ))
+    out.append(_identity(f"strong retract square on {label}", square_failures, small_pairs))
     for name, f, space in (("section", s, data.small), ("retraction", r, data.big)):
-        failures = simplicial_map_failures(f, min(space.cap, cap))
-        out.append(IdentityResult(f"{name} is simplicial on {label}", not failures))
+        through = min(space.cap, cap)
+        failures = simplicial_map_failures(f, through)
+        instances = sum(
+            len(all_monotone_maps(k, n)) * len(space.simplices(n))
+            for n in range(through + 1)
+            for k in range(through + 1)
+        )
+        out.append(IdentityResult(f"{name} is simplicial on {label}", not failures, instances))
     h_failures = []
+    instances = 0
     for n in range(min(data.big.cap, cap)):
         for psi in all_monotone_maps(n, n + 1):
             for phi in all_monotone_maps(n + 1, 1):
                 for pair in data.big.simplices(n + 1):
+                    instances += 1
                     lhs = data.big.act(psi, data.homotopy(phi, pair))
                     rhs = data.homotopy(phi.compose(psi), data.big.act(psi, pair))
                     if lhs != rhs:
                         h_failures.append(f"{label}: homotopy not simplicial")
-    out.append(_identity(f"homotopy is simplicial on {label}", h_failures))
+    out.append(_identity(f"homotopy is simplicial on {label}", h_failures, instances))
     return out
 
 
@@ -591,6 +645,8 @@ def verify_suite(m_max, n_max, include_nerve_retract=True):
 
     Identities are grouped into families; the report lists them in order.
     """
+    if m_max < 0 or n_max < 0:
+        raise ValueError(f"bounds must be non-negative, got m_max={m_max}, n_max={n_max}")
     results = (
         _cone_checks(n_max)
         + _attachment_checks(m_max, n_max)

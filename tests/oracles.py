@@ -119,3 +119,18 @@ def functoriality_failures(X, through, generators_only=False):
                         if lhs != rhs:
                             failures.append((phi, psi, x))
     return failures
+
+
+def oracle_c(phi):
+    """c(phi) built simplex by simplex as the chains functor defines it: a
+    strictly increasing tuple t goes to the simplex phi(t), or to 0 when phi
+    repeats a value on t."""
+    from steiner_lab.simplex import c_delta, simplex_chain, simplex_token
+
+    images = {}
+    for p in range(phi.src + 1):
+        for tup in itertools.combinations(range(phi.src + 1), p + 1):
+            values = tuple(phi(i) for i in tup)
+            collapsed = len(set(values)) < len(values)
+            images[simplex_token(tup)] = Chain.zero(p) if collapsed else simplex_chain(values)
+    return AdcMorphism(c_delta(phi.src), c_delta(phi.dst), images)

@@ -169,6 +169,12 @@ def test_criterion_7_identity_and_retract_suite():
     suite = verify_suite(3, 3, include_nerve_retract=True)
     for result in suite.results:
         assert result.passed, (result.name, result.counterexample)
+    counts = {r.name: r.instances for r in suite.results}
+    assert all(n > 0 for n in counts.values())
+    assert counts["cylinder attachment naturality"] == 14641
+    assert counts["wedge projection naturality"] == 484
+    assert counts["partial wedge coherence with final-block operators"] == 2124
+    assert counts["cone collapse naturality (n, n' <= 3)"] == 121
     report(7, started, 300)
 
 

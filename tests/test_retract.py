@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from steiner_lab import (
@@ -26,6 +28,7 @@ from steiner_lab.nerves import (
 from steiner_lab import retract
 from steiner_lab.retract import attachment_pushout
 from steiner_lab.simplex import (
+    MonotoneMap,
     all_monotone_maps,
     c_of_map,
     constant_map,
@@ -143,6 +146,44 @@ def test_verify_suite_builds_each_pushout_once(monkeypatch):
     monkeypatch.setattr(retract, "pushout_complex", counting_pushout)
     assert verify_suite(1, 1).all_passed
     assert len(built) == 12
+
+
+def _operator_pairs(bound):
+    """Monotone maps Delta(a) -> Delta(b) for a, b <= bound: C(a+b+1, a+1) each."""
+    return sum(comb(a + b + 1, a + 1) for a in range(bound + 1) for b in range(bound + 1))
+
+
+def test_family_instance_counts_match_closed_forms():
+    report = verify_suite(2, 3, include_nerve_retract=False)
+    counts = {r.name: r.instances for r in report.results}
+    assert all(n > 0 for n in counts.values())
+    m_max, n_max = 2, 3
+    coherence = (m_max + 1) * sum(
+        comb(a + b + 1, a + 1) * (b + 2) for a in range(n_max + 1) for b in range(n_max + 1)
+    )
+    expected = {
+        "cylinder attachment naturality": _operator_pairs(m_max) * _operator_pairs(n_max),
+        "wedge projection naturality": (m_max + 1) * _operator_pairs(n_max),
+        "partial wedge coherence with final-block operators": coherence,
+        "cone collapse naturality (n, n' <= 3)": _operator_pairs(n_max),
+        "cylinder attachment fixes the initial face": (m_max + 1) * (n_max + 1),
+    }
+    assert {name: counts[name] for name in expected} == expected
+    assert list(expected.values()) == [3751, 363, 1593, 121, 12]
+
+
+def test_cone_checks_report_the_instances_reached(monkeypatch):
+    real = retract.join_maps
+
+    def broken(phi, psi):
+        # the cone side of the identity psi of Delta(1) goes wrong
+        return MonotoneMap(2, 2, (0, 1, 1)) if psi == identity_map(1) else real(phi, psi)
+
+    monkeypatch.setattr(retract, "join_maps", broken)
+    failed = retract._cone_checks(1)[-1]
+    # psi runs over Delta(0) -> Delta(0), Delta(1) -> Delta(0), the two maps
+    # Delta(0) -> Delta(1), then (0, 0) and the identity (0, 1): the 6th of 7
+    assert not failed.passed and failed.instances == 6
 
 
 def test_suite_report_formats():

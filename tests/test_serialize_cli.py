@@ -84,6 +84,21 @@ def test_cli_oriental_is_deterministic(capsys):
     assert payload["complete"] and len(payload["cells"]) == 7
 
 
+@pytest.mark.parametrize("argv", [
+    ["cells", "TRIANGLE", "--dim", "-1"],
+    ["verify", "theorem-a", "--m-max", "-1", "--n-max", "-1"],
+    ["verify", "theorem-a", "--m-max", "1", "--n-max", "-1"],
+    ["nerve", "TRIANGLE", "--cap", "-1"],
+    ["oriental", "3", "--dim", "-1"],
+    ["oriental", "-2"],
+])
+def test_cli_rejects_negative_bounds(triangle_file, capsys, argv):
+    assert run([triangle_file if a == "TRIANGLE" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_cli_tensor_and_pushout(tmp_path, capsys):
     i_path = tmp_path / "interval.json"
     i_path.write_text(dumps(complex_to_json(c_delta(1))))
@@ -188,6 +203,7 @@ def test_cli_verify_writes_report(tmp_path, capsys):
     assert code == 0
     payload = json.loads(report.read_text())
     assert payload["all_passed"]
+    assert all(r["instances"] > 0 for r in payload["results"])
     assert "ALL PASS" in capsys.readouterr().out
 
 

@@ -106,3 +106,32 @@ def test_map_images_share_the_simplex_tokens():
         for t in f.source.tokens(1) + f.source.tokens(2):
             for token, _ in f.image_of(t).items():
                 assert token is canonical[token]
+
+
+def test_direct_construction_still_validates():
+    # maps built by the package skip the checks; a direct construction keeps them
+    for image in ((1, 0), (0, 3), (0, 1, 2), (-1, 0)):
+        with pytest.raises(ValueError):
+            MonotoneMap(1, 2, image)
+    for bad in (lambda: face_map(2, 3), lambda: degeneracy_map(1, 2), lambda: face_map(1, -1)):
+        with pytest.raises(ValueError, match="index out of range"):
+            bad()
+
+
+def validated(phi):
+    return MonotoneMap(phi.src, phi.dst, tuple(phi.image))
+
+
+def test_trusted_maps_equal_validated_ones():
+    maps = [phi for m in range(5) for n in range(5) for phi in all_monotone_maps(m, n)]
+    for phi in maps:
+        assert validated(phi) == phi and hash(validated(phi)) == hash(phi)
+        for psi in all_monotone_maps(min(phi.src, 2), phi.src):
+            assert validated(phi.compose(psi)) == phi.compose(psi)
+    for n in range(1, 5):
+        for i in range(n + 1):
+            assert validated(face_map(n, i)) == face_map(n, i)
+            assert validated(degeneracy_map(n, i)) == degeneracy_map(n, i)
+    for phi in all_monotone_maps(1, 2):
+        for psi in all_monotone_maps(2, 1):
+            assert validated(join_maps(phi, psi)) == join_maps(phi, psi)
