@@ -245,6 +245,8 @@ def lambda_of_nu(K, max_dim, coeff_bound=None):
     normal form and compared with the basis size (the adjunction counit is
     an isomorphism for Steiner complexes, so they must agree).
     """
+    if max_dim < 0:
+        raise ValueError(f"max_dim must be non-negative, got {max_dim}")
     reports = []
     for i in range(max_dim + 1):
         enum = enumerate_cells(K, i, coeff_bound)

@@ -1,5 +1,22 @@
 """Exact integer Smith normal form, for presenting finitely generated
-abelian groups by generators and relations."""
+abelian groups by generators and relations.
+
+``smith_normal_form`` runs every matrix through two stages.
+
+1. Sparse unit pivots.  The rows become dicts ``{col: value}`` with an
+   index from each column to the rows holding it.  While some entry is
+   +-1, the one of least Markowitz cost ``(len(row)-1)*(len(col)-1)`` is
+   the pivot: multiples of its row are subtracted from the other rows of
+   its column, then its row and column are deleted and one factor 1 is
+   counted.  The row operations are unimodular, and once the pivot column
+   is clear the column operations that clear the pivot row touch no other
+   row, so A ~ I_k (+) A'.
+2. Dense finish.  The nonzero rows and columns of A' are compressed into a
+   dense block and reduced by ``_dense_smith_normal_form``.
+
+Relation matrices of cell presentations are almost empty and mostly unit,
+so stage 1 usually leaves little or nothing for stage 2.
+"""
 
 from __future__ import annotations
 
@@ -7,15 +24,65 @@ from __future__ import annotations
 def smith_normal_form(rows, ncols):
     """Invariant factors (d_1 | d_2 | ...) of an integer matrix.
 
-    Plain elementary-operation reduction with smallest-pivot selection;
-    Python integers keep everything exact.  Returns the nonzero diagonal
-    entries, each positive, in divisibility order.
+    Returns the nonzero diagonal entries, each positive, in divisibility
+    order: the k unit pivots of the sparse stage, then the factors of the
+    dense residual.
     """
-    A = [list(r) for r in rows]
-    nrows = len(A)
-    for r in A:
+    sparse = {}
+    at_col = {}
+    for i, r in enumerate(rows):
         if len(r) != ncols:
             raise ValueError("ragged matrix")
+        row = {j: v for j, v in enumerate(r) if v}
+        if row:
+            sparse[i] = row
+            for j in row:
+                at_col.setdefault(j, set()).add(i)
+    units = 0
+    while True:
+        pivot, best = None, None
+        for i, row in sparse.items():
+            for j, v in row.items():
+                if v == 1 or v == -1:
+                    cost = (len(row) - 1) * (len(at_col[j]) - 1)
+                    if best is None or cost < best:
+                        pivot, best = (i, j, v), cost
+            if best == 0:
+                break
+        if pivot is None:
+            break
+        pi, pj, v = pivot
+        prow = sparse.pop(pi)
+        for j in prow:
+            at_col[j].discard(pi)
+        for i in at_col.pop(pj):
+            row = sparse[i]
+            q = row[pj] * v
+            for j, a in prow.items():
+                new = row.get(j, 0) - q * a
+                if new:
+                    if j not in row:
+                        at_col[j].add(i)
+                    row[j] = new
+                else:
+                    del row[j]
+                    if j != pj:
+                        at_col[j].discard(i)
+            if not row:
+                del sparse[i]
+        units += 1
+    cols = sorted(j for j, held in at_col.items() if held)
+    block = [[row.get(j, 0) for j in cols] for row in sparse.values()]
+    return [1] * units + _dense_smith_normal_form(block, len(cols))
+
+
+def _dense_smith_normal_form(A, ncols):
+    """Invariant factors of a dense rectangular matrix, reduced in place.
+
+    Plain elementary-operation reduction with smallest-pivot selection;
+    Python integers keep everything exact.
+    """
+    nrows = len(A)
     t = 0
     factors = []
     while t < nrows and t < ncols:

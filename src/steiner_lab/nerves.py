@@ -445,6 +445,8 @@ def bisimplicial_comparison(u, cap_m, cap_n):
     final n-face is u(x).  Returns (S, forget) where forget projects onto
     X viewed as bisimplicially constant in the first direction.
     """
+    if cap_m < 0 or cap_n < 0:
+        raise ValueError(f"caps must be non-negative, got cap_m={cap_m}, cap_n={cap_n}")
     X, Y = u.src, u.dst
     if cap_m + 1 + cap_n > Y.cap or cap_n > X.cap:
         raise ValueError("cap exceeded: deeper tables needed for S(u)")

@@ -466,6 +466,8 @@ def slice_functor(u, v, w, alpha):
 
 def enumerate_slice_cells(u, c, dim, coeff_bound=None):
     """All slice cells of the given dimension, by boundary-constrained search."""
+    if dim < 0:
+        raise ValueError(f"slice cell dimension must be non-negative, got {dim}")
     K, L = u.source, u.target
     base = object_cell(L, c)
     complete = True

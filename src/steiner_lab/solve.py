@@ -192,6 +192,8 @@ def _memo_solve(K, p, target, bound):
     key = (p, target, bound)
     result = memo.get(key)
     if result is None:
+        if bound is not None and bound < 0:
+            raise ValueError(f"coefficient bound must be non-negative, got {bound}")
         raw = dict(target.items()) if p else ({"": target} if target else {})
         result = _dispatch(K, p, raw, bound)
         if len(memo) >= SOLVE_MEMO_SIZE:

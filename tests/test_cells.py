@@ -246,6 +246,11 @@ def test_enumeration_without_certificate_or_bound_raises():
         enumerate_cells(two_loop_complex(), 1)
 
 
+def test_lambda_rejects_a_negative_dimension():
+    with pytest.raises(ValueError, match="non-negative"):
+        lambda_of_nu(triangle(), -1)
+
+
 def test_lambda_refuses_incomplete_enumerations():
     with pytest.raises(ValueError, match="incomplete"):
         lambda_of_nu(two_loop_complex(), 1, coeff_bound=2)

@@ -56,6 +56,13 @@ def triangle_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def identity_file(tmp_path):
+    path = tmp_path / "identity.json"
+    path.write_text(dumps(morphism_to_json(identity_morphism(c_delta(2)))))
+    return str(path)
+
+
 def test_cli_validate(triangle_file, capsys):
     assert run(["adc", "validate", triangle_file]) == 0
     assert capsys.readouterr().out.strip() == "OK"
@@ -91,9 +98,17 @@ def test_cli_oriental_is_deterministic(capsys):
     ["nerve", "TRIANGLE", "--cap", "-1"],
     ["oriental", "3", "--dim", "-1"],
     ["oriental", "-2"],
+    ["slice", "TRIANGLE", "IDENTITY", "0", "--cells", "-1"],
+    ["bisimplicial", "TRIANGLE", "--cap-m", "-1", "--cap-n", "1"],
+    ["bisimplicial", "TRIANGLE", "--cap-m", "1", "--cap-n", "-1"],
+    ["cells", "TRIANGLE", "--dim", "1", "--coeff-bound", "-1"],
+    ["oriental", "2", "--dim", "1", "--coeff-bound", "-1"],
+    ["nerve", "TRIANGLE", "--cap", "2", "--coeff-bound", "-1"],
+    ["slice", "TRIANGLE", "IDENTITY", "0", "--cells", "1", "--coeff-bound", "-1"],
 ])
-def test_cli_rejects_negative_bounds(triangle_file, capsys, argv):
-    assert run([triangle_file if a == "TRIANGLE" else a for a in argv]) == 2
+def test_cli_rejects_negative_bounds(triangle_file, identity_file, capsys, argv):
+    files = {"TRIANGLE": triangle_file, "IDENTITY": identity_file}
+    assert run([files.get(a, a) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -83,3 +83,13 @@ def test_memo_is_bounded_and_eviction_keeps_answers(monkeypatch, dispatches):
     assert prism_census(K) == expected
     assert len(dispatches) > 1934  # evicted targets were solved again
     assert max(dispatches) <= 8 and len(K._strong_cache["solved"]) == 8
+
+
+def test_negative_bounds_raise_and_are_never_memoized(dispatches):
+    K = fresh(c_delta(2))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non-negative"):
+            solve.solve_augmentation(K, 1, -1)
+        with pytest.raises(ValueError, match="non-negative"):
+            solve_boundary(K, 1, Chain.make(0, {"2": 1, "0": -1}), -1)
+    assert not dispatches and not K._strong_cache.get("solved")
