@@ -5,11 +5,23 @@ Simplicial sets are materialized as finite tables up to a dimension cap;
 simplex records are canonical hashable values (monotone maps, complex
 morphisms, pairs of those), so equality is syntactic.  Operators act
 through a single ``act`` entry point memoized per space.
+
+A nerve also gives each simplex of its levels an int code: the ids of its
+image chains in cDelta(n)'s token order, then those of the zero chains,
+with ids kept per nerve.  An operator acts on a coded simplex by gathering
+its code through ``_code_plan(phi, cap)`` and looking the result up among
+the coded simplices, so a hit builds, hashes and compares no morphism.
+Any other value, an operator past the cap or of another dimension, and a
+code not seen yet go through ``precompose``; a new result from a coded
+simplex is coded then.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .chains import AdcMorphism, Chain
 from .simplex import (
@@ -23,8 +35,22 @@ from .simplex import (
     final_inclusion,
     join_maps,
     precompose,
+    reindex_plan,
 )
 from .solve import solve_augmentation, solve_boundary
+
+# Distinct (phi, cap) whose gathers are kept; a nerve of cap 5 acts through
+# at most 1,709 maps phi.
+CODE_PLAN_CACHE_SIZE = 4096
+
+
+def _through(through, cap):
+    """The last level a check runs through: ``through``, or ``cap`` if None.
+    A negative one would check nothing and pass, so it is refused."""
+    through = cap if through is None else through
+    if through < 0:
+        raise ValueError(f"checks run through a non-negative level, got {through}")
+    return through
 
 
 class SimplicialSetTrunc:
@@ -72,7 +98,7 @@ class SimplicialSetTrunc:
         return out
 
     def counts(self, through=None):
-        through = self.cap if through is None else through
+        through = _through(through, self.cap)
         return [
             (n, len(self.simplices(n)), len(set(self.simplices(n)) - self.degenerate(n)))
             for n in range(through + 1)
@@ -90,7 +116,7 @@ class SimplicialSetTrunc:
         and values outside the level get fresh ids past its end, so equal
         ids mean equal values.
         """
-        through = self.cap if through is None else through
+        through = _through(through, self.cap)
         levels = [self.simplices(n) for n in range(through + 1)]
         values = [list(level) for level in levels]
         ids = [{x: i for i, x in enumerate(level)} for level in levels]
@@ -157,7 +183,7 @@ def identity_simplicial_map(X):
 
 def simplicial_map_failures(f, through=None):
     """Commutation failures of f with all operators within the caps."""
-    through = min(f.src.cap, f.dst.cap) if through is None else through
+    through = _through(through, min(f.src.cap, f.dst.cap))
     failures = []
     for n in range(through + 1):
         for m in range(through + 1):
@@ -256,17 +282,60 @@ def hom_enumerate(n, K, coeff_bound=None):
     return morphisms
 
 
+@lru_cache(maxsize=CODE_PLAN_CACHE_SIZE)
+def _code_plan(phi, cap):
+    """The gather from the code of a phi.dst-simplex, in a nerve of cap
+    ``cap``, to the code of its image: for each token of cDelta(phi.src),
+    the position of its image token, or of the zero of its degree p
+    (end + p) where phi repeats a value on it; then the zero ids.  An
+    ``itemgetter`` gathers in C and builds the code at its final size."""
+    tokens = itertools.chain.from_iterable(c_delta(phi.dst).basis)
+    position = {token: i for i, token in enumerate(tokens)}
+    end = len(position)
+    return operator.itemgetter(
+        *(end + p if image is None else position[image] for _, p, image in reindex_plan(phi)),
+        *range(end, end + cap + 1),
+    )
+
+
 def nerve(K, cap, coeff_bound=None):
-    """The nerve of nu(K): n-simplices are morphisms from the n-simplex chains."""
+    """The nerve of nu(K): n-simplices are morphisms from the n-simplex chains.
+
+    The chain ids of its codes (see the module docstring) are kept here,
+    the zero chain of degree p seeded as id p.  Every code ends in the zero
+    ids 0..cap, so a gather finds the zero of each degree up to the cap in
+    any code.
+    """
     if cap < 0:
         raise ValueError(f"nerve cap must be non-negative, got {cap}")
+    zeros = tuple(range(cap + 1))
+    ids = {Chain.zero(p): p for p in zeros}
+    codes = {}  # simplex -> code
+    coded = {}  # code -> simplex
+
+    def register(x, code):
+        x = coded.setdefault(code, x)
+        codes.setdefault(x, code)
+        return x
 
     def level(n):
         morphisms, complete = enumerate_morphisms(c_delta(n), K, coeff_bound=coeff_bound)
         N.complete &= complete
-        return morphisms
+        tokens = list(itertools.chain.from_iterable(c_delta(n).basis))
+        return [
+            register(x, tuple(ids.setdefault(x.image_of(t), len(ids)) for t in tokens) + zeros)
+            for x in morphisms
+        ]
 
-    N = SimplicialSetTrunc(cap, level, lambda phi, x: precompose(x, phi), label=f"N({K!r})")
+    def act(phi, x):
+        code = codes.get(x)
+        if code is None or phi.src > cap or x.source != c_delta(phi.dst):
+            return precompose(x, phi)
+        key = _code_plan(phi, cap)(code)
+        y = coded.get(key)
+        return register(precompose(x, phi), key) if y is None else y
+
+    N = SimplicialSetTrunc(cap, level, act, label=f"N({K!r})")
     return N
 
 

@@ -1,6 +1,11 @@
+import hashlib
+import random
+import time
+
 import pytest
 
 from oracles import brute_morphisms, functoriality_failures
+from test_acceptance import report
 from steiner_lab import (
     Chain,
     DirComplex,
@@ -13,6 +18,7 @@ from steiner_lab import (
     solve,
     under_slice,
 )
+from steiner_lab import nerves
 from steiner_lab.nerves import (
     SimplicialSetTrunc,
     bisimplicial_comparison,
@@ -34,6 +40,7 @@ from steiner_lab.simplex import (
     degeneracy_map,
     face_map,
     identity_map,
+    precompose,
     vertex_map,
 )
 from steiner_lab.retract import attachment_pushout, wedge_pushout
@@ -349,19 +356,22 @@ def test_forgetful_projection():
 
 
 @pytest.mark.parametrize(
-    "K,generators_only",
+    "K,generators_only,budget",
     [
-        (c_delta(0), False),
-        (c_delta(1), False),
-        (c_delta(2), False),
-        (tensor_complex(c_delta(1), c_delta(1)), False),
-        (c_delta(3), True),
+        (c_delta(0), False, None),
+        (c_delta(1), False, None),
+        (c_delta(2), False, None),
+        (tensor_complex(c_delta(1), c_delta(1)), False, None),
+        (c_delta(3), True, 10),
     ],
     ids=["point", "interval", "triangle", "square", "tetrahedron"],
 )
-def test_nerve_identities_exhaustive_to_cap_four(K, generators_only):
+def test_nerve_identities_exhaustive_to_cap_four(K, generators_only, budget):
+    started = time.time()
     N = nerve(K, 4)
     assert not N.identity_failures(4, generators_only=generators_only)
+    if budget is not None:
+        report("cap-4 nerve identities", started, budget)
 
 
 def _space_with_fault(fault):
@@ -415,3 +425,140 @@ def test_bounded_enumeration_stays_marked_incomplete():
     assert len(morphisms) == 6 and not complete
     N = nerve(K, 1, coeff_bound=1)
     assert [len(N.simplices(n)) for n in range(2)] == [2, 6] and not N.complete
+
+
+@pytest.mark.parametrize("check", ["identity_failures", "counts", "simplicial_map_failures"])
+def test_checks_refuse_a_negative_bound(check):
+    N = nerve(c_delta(1), 2)
+    run = {
+        "identity_failures": lambda: N.identity_failures(-1),
+        "counts": lambda: N.counts(-1),
+        "simplicial_map_failures": lambda: simplicial_map_failures(identity_simplicial_map(N), -1),
+    }[check]
+    with pytest.raises(ValueError, match="non-negative"):
+        run()
+
+
+# -- the nerve's code gather ------------------------------------------------------
+
+def _shuffled_prism():
+    """Delta2 (x) Delta1 read back from JSON with fresh tokens, shuffled in
+    every degree, so neither token names nor their order match the original."""
+    data = complex_to_json(tensor_complex(c_delta(2), c_delta(1)))
+    rng = random.Random(7)
+    tokens = [t for level in data["basis"] for t in level]
+    names = {t: f"g{i}" for i, t in enumerate(rng.sample(tokens, len(tokens)))}
+    return complex_from_json({
+        "basis": [rng.sample([names[t] for t in level], len(level)) for level in data["basis"]],
+        "diff": {names[t]: {names[s]: c for s, c in d.items()} for t, d in data["diff"].items()},
+        "aug": {names[t]: v for t, v in data["aug"].items()},
+    })
+
+
+GATHER_CASES = {
+    "triangle": (c_delta(2), 4),
+    "tetrahedron": (c_delta(3), 3),
+    "shuffled prism": (_shuffled_prism(), 3),
+}
+
+
+@pytest.mark.parametrize("name", GATHER_CASES)
+def test_code_gather_matches_composition(name, monkeypatch):
+    """Every operator within the cap, on every level simplex, gives the
+    composite with c(phi), as the very object of its level, and never needs
+    the precomposition fallback."""
+    K, cap = GATHER_CASES[name]
+    N = nerve(K, cap)
+    levels = [N.simplices(n) for n in range(cap + 1)]
+    fallbacks = []
+
+    def counting(f, phi):
+        fallbacks.append(phi)
+        return precompose(f, phi)
+
+    monkeypatch.setattr(nerves, "precompose", counting)
+    for n in range(cap + 1):
+        for m in range(cap + 1):
+            level = {id(y) for y in levels[m]}
+            for phi in all_monotone_maps(m, n):
+                c = c_of_map(phi)
+                for x in levels[n]:
+                    y = N.act(phi, x)
+                    assert y == x.after(c)
+                    assert id(y) in level
+    assert not fallbacks
+
+
+def test_nerves_sharing_chains_keep_their_own_simplices():
+    """The chains of Delta2 are chains of Delta3 too; each nerve's operators
+    still land in its own levels."""
+    spaces = [nerve(c_delta(2), 2), nerve(c_delta(3), 2)]
+    for n in range(3):
+        for m in range(3):
+            for phi in all_monotone_maps(m, n):
+                for N in spaces:
+                    level = {id(y) for y in N.simplices(m)}
+                    for x in N.simplices(n):
+                        y = N.act(phi, x)
+                        assert y.target is x.target and id(y) in level
+
+
+def test_act_without_a_code_is_precomposition():
+    """Values the nerve has not coded: nerve_map images, before and after the
+    nerve's levels exist, a simplex of another nerve, and operators past the
+    cap.  An operator of the wrong dimension is still refused."""
+    N1, N2 = nerve(c_delta(1), 3), nerve(c_delta(2), 3)
+    u = nerve_map(c_of_map(face_map(2, 1)), N1, N2)
+    outside = c_of_map(MonotoneMap(1, 3, (0, 3)))  # a 1-simplex of the tetrahedron nerve
+    for built in (False, True):
+        if built:
+            for n in range(4):
+                N2.simplices(n)
+        values = [u(n, x) for n in range(3) for x in N1.simplices(n)] + [outside]
+        for y in values:
+            n = y.source.dim
+            for m in range(5):
+                for phi in all_monotone_maps(m, n):
+                    assert N2.act(phi, y) == precompose(y, phi)
+    assert N2.act(identity_map(1), outside).target == c_delta(3)
+    with pytest.raises(ValueError, match="composition mismatch"):
+        N2.act(face_map(2, 0), N2.simplices(1)[0])
+
+
+def _level_digest(N, cap):
+    """A hash of the ordered levels through ``cap``, each simplex given by
+    its sorted (token, image) items."""
+    h = hashlib.sha256()
+    for n in range(cap + 1):
+        for x in N.simplices(n):
+            K = x.source
+            items = sorted((t, x.image_of(t).items()) for p in K.degrees() for t in K.tokens(p))
+            h.update(repr(items).encode())
+        h.update(b"|")
+    return h.hexdigest()[:16]
+
+
+# recorded from the levels built by plain hom-enumeration, before nerves coded
+# their simplices
+LEVEL_DIGESTS = {
+    "tetrahedron cap 4": (c_delta(3), 4, "7ef84e343b2ea21f"),
+    "triangle cap 5": (c_delta(2), 5, "35abeb006529bd35"),
+    "prism cap 3": (tensor_complex(c_delta(2), c_delta(1)), 3, "b47669504f2371d7"),
+}
+
+
+@pytest.mark.parametrize("acted_first", [False, True], ids=["built", "acted first"])
+@pytest.mark.parametrize("name", LEVEL_DIGESTS)
+def test_nerve_levels_keep_their_order(name, acted_first):
+    """The same simplices in the same order, also when operators on the top
+    level have registered the lower levels' simplices before those levels
+    are built."""
+    K, cap, expected = LEVEL_DIGESTS[name]
+    N = nerve(K, cap)
+    if acted_first:
+        top = N.simplices(cap)
+        for m in range(cap):
+            for phi in all_monotone_maps(m, cap):
+                for x in top:
+                    N.act(phi, x)
+    assert _level_digest(N, cap) == expected
