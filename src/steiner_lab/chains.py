@@ -13,6 +13,7 @@ sorted by token), so equality and hashing are syntactic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 
 @dataclass(frozen=True)
@@ -23,33 +24,55 @@ class BasisElement:
     degree: int
 
 
-@dataclass(frozen=True)
-class Chain:
+_new = tuple.__new__
+_tuple_eq = tuple.__eq__
+_tuple_ne = tuple.__ne__
+
+
+class Chain(tuple):
     """Integer linear combination of same-degree basis tokens.
 
-    ``coeffs`` is sorted by token and stores no zero coefficients, so two
-    chains are equal iff they are the same combination.
+    An immutable pair ``(degree, coeffs)``: ``coeffs`` is sorted by token and
+    stores no zero coefficients, so two chains are equal iff they are the
+    same combination.  A chain never equals a plain tuple.
     """
 
-    degree: int
-    coeffs: tuple[tuple[str, int], ...]
+    __slots__ = ()
+
+    degree = property(itemgetter(0))
+    coeffs = property(itemgetter(1))
+
+    def __new__(cls, degree, coeffs):
+        return _new(cls, (degree, coeffs))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __eq__(self, other):
+        return other.__class__ is Chain and _tuple_eq(self, other)
+
+    def __ne__(self, other):
+        return other.__class__ is not Chain or _tuple_ne(self, other)
+
+    __hash__ = tuple.__hash__
+
+    def __repr__(self):
+        return f"Chain(degree={self[0]!r}, coeffs={self[1]!r})"
 
     @staticmethod
     def make(degree, items):
         """Build a chain in canonical form from (token, coeff) pairs or a dict."""
-        acc = {}
         pairs = items.items() if isinstance(items, dict) else items
-        for token, coeff in pairs:
-            acc[token] = acc.get(token, 0) + int(coeff)
-        return Chain(degree, tuple(sorted((t, c) for t, c in acc.items() if c != 0)))
+        return _combine(degree, ((1, [(token, int(coeff)) for token, coeff in pairs]),))
 
     @staticmethod
     def zero(degree):
-        return Chain(degree, ())
+        return _ZEROS[degree] if 0 <= degree < len(_ZEROS) else Chain(degree, ())
 
     @staticmethod
     def unit(degree, token, coeff=1):
-        return Chain.make(degree, [(token, coeff)])
+        coeff = int(coeff)
+        return Chain(degree, ((token, coeff),) if coeff else ())
 
     def items(self):
         return self.coeffs
@@ -72,21 +95,25 @@ class Chain:
         return all(c > 0 for _, c in self.coeffs)
 
     def __add__(self, other):
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} + {other.degree}")
-        return Chain.make(self.degree, self.coeffs + other.coeffs)
+        if self[0] != other[0]:
+            raise ValueError(f"degree mismatch: {self[0]} + {other[0]}")
+        return _combine(self[0], ((1, self[1]), (1, other[1])))
 
     def __neg__(self):
         return Chain(self.degree, tuple((t, -c) for t, c in self.coeffs))
 
     def __sub__(self, other):
-        return self + (-other)
+        if self[0] != other[0]:
+            raise ValueError(f"degree mismatch: {self[0]} - {other[0]}")
+        return _combine(self[0], ((1, self[1]), (-1, other[1])))
 
     def __rmul__(self, k):
         k = int(k)
         if k == 0:
             return Chain.zero(self.degree)
         return Chain(self.degree, tuple((t, k * c) for t, c in self.coeffs))
+
+    __mul__ = __rmul__
 
     def __str__(self):
         if not self.coeffs:
@@ -100,6 +127,21 @@ class Chain:
             else:
                 parts.append(f"{c}({t})")
         return "+".join(parts).replace("+-", "-")
+
+
+# Zero chains of degrees 0..31 are shared; a higher degree gets a fresh one.
+_ZEROS = tuple(Chain(p, ()) for p in range(32))
+
+
+def _combine(degree, terms):
+    """The canonical chain sum(c * x) over the (c, x's coeffs) pairs of
+    ``terms``: one accumulation, zeros dropped, tokens sorted."""
+    acc = {}
+    get = acc.get
+    for c, coeffs in terms:
+        for t, k in coeffs:
+            acc[t] = get(t, 0) + c * k
+    return _new(Chain, (degree, tuple(sorted([tk for tk in acc.items() if tk[1]]))))
 
 
 def pos_neg_decompose(x):
@@ -205,9 +247,7 @@ class DirComplex:
     def d(self, chain):
         if chain.degree == 0:
             raise ValueError("d is defined in degree >= 1")
-        return Chain.make(chain.degree - 1, [
-            (s, c * k) for t, c in chain.items() for s, k in self.diff_of(t).items()
-        ])
+        return _combine(chain.degree - 1, [(c, self.diff_of(t)[1]) for t, c in chain[1]])
 
     def e(self, chain):
         if chain.degree != 0:
@@ -299,20 +339,29 @@ class AdcMorphism:
         return self._images[token]
 
     def apply(self, chain):
-        items = chain.items()
+        items = chain[1]
         if not items:
             return chain
         if len(items) == 1 and items[0][1] == 1:
             return self._images[items[0][0]]
-        return Chain.make(chain.degree, [
-            (s, c * k) for t, c in items for s, k in self._images[t].items()
-        ])
+        images = self._images
+        return _combine(chain[0], [(c, images[t][1]) for t, c in items])
 
     def after(self, other):
-        """Composite self . other (apply ``other`` first)."""
+        """Composite self . other (apply ``other`` first), one accumulation
+        per image that is neither zero nor a unit."""
         if other.target != self.source:
             raise ValueError("composition mismatch")
-        images = {t: self.apply(ch) for t, ch in other._images.items()}
+        mine = self._images
+        images = {}
+        for t, chain in other._images.items():
+            items = chain[1]
+            if not items:
+                images[t] = chain
+            elif len(items) == 1 and items[0][1] == 1:
+                images[t] = mine[items[0][0]]
+            else:
+                images[t] = _combine(chain[0], [(c, mine[s][1]) for s, c in items])
         return AdcMorphism(other.source, self.target, images)
 
     def _key(self):

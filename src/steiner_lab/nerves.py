@@ -122,8 +122,9 @@ class SimplicialSetTrunc:
         ids = [{x: i for i, x in enumerate(level)} for level in levels]
 
         def ident(k, y):
-            i = ids[k].setdefault(y, len(values[k]))
-            if i == len(values[k]):
+            n = len(values[k])
+            i = ids[k].setdefault(y, n)
+            if i == n:
                 values[k].append(y)
             return i
 
@@ -153,8 +154,9 @@ class SimplicialSetTrunc:
                     for psi in seconds:
                         lhs = table(phi.compose(psi))
                         second = table(psi)
+                        size = len(second)
                         rhs = [
-                            second[j] if j < len(second)
+                            second[j] if j < size
                             else ident(psi.src, self.act(psi, values[m][j]))
                             for j in first
                         ]

@@ -31,7 +31,7 @@ REINDEX_PLAN_CACHE_SIZE = 16384
 
 @dataclass(frozen=True)
 class MonotoneMap:
-    """A weakly increasing map Delta(src) -> Delta(dst), given by its values."""
+    """A weakly increasing map Delta(src) -> Delta(dst), given by its values; hashed once."""
 
     src: int
     dst: int
@@ -44,13 +44,17 @@ class MonotoneMap:
             raise ValueError("image values out of range")
         if any(a > b for a, b in zip(self.image, self.image[1:])):
             raise ValueError("image list must be weakly increasing")
+        self.__dict__["_hash"] = hash((self.src, self.dst, self.image))
 
     @classmethod
     def _trusted(cls, src, dst, image):
         """A map from values already known to be valid, without the checks."""
         phi = object.__new__(cls)
-        phi.__dict__.update(src=src, dst=dst, image=image)
+        phi.__dict__.update(src=src, dst=dst, image=image, _hash=hash((src, dst, image)))
         return phi
+
+    def __hash__(self):
+        return self._hash
 
     def __call__(self, k):
         return self.image[k]

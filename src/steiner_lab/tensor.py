@@ -7,7 +7,7 @@ amalgamated basis is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .chains import (
@@ -129,7 +129,9 @@ class Pushout:
     """Amalgamated sum of complexes along rigid inclusions of a common base.
 
     ``left``/``right`` are the canonical injections; ``induced(u, v)`` is the
-    co-pairing with a pair of morphisms agreeing on the base.
+    co-pairing with a pair of morphisms agreeing on the base.  It reads
+    ``plan``, the (token, side: 0 for K and 1 for L, token of that side) of
+    each pushout token, and ``glue``, the leg images of each base token.
     """
 
     base: DirComplex
@@ -138,20 +140,21 @@ class Pushout:
     right: AdcMorphism
     left_leg: AdcMorphism
     right_leg: AdcMorphism
+    plan: tuple = field(compare=False, repr=False)
+    glue: tuple = field(compare=False, repr=False)
 
     def induced(self, u, v):
         if u.source != self.left.source or v.source != self.right.source:
             raise ValueError("co-pairing legs have wrong sources")
         if u.target != v.target:
             raise ValueError("co-pairing legs have different targets")
-        if u.after(self.left_leg) != v.after(self.right_leg):
+        legs = (u._images, v._images)
+        # the legs are rigid, so u . left_leg = v . right_leg token by token
+        if any(legs[0][a] != legs[1][b] for a, b in self.glue):
             raise ValueError("co-pairing legs disagree on the base")
-        images = {}
-        for p in self.complex.degrees():
-            for token in self.complex.tokens(p):
-                side, _, orig = token.partition(":")
-                images[token] = (u if side == "K" else v).image_of(orig)
-        return AdcMorphism(self.complex, u.target, images)
+        return AdcMorphism(self.complex, u.target, {
+            token: legs[side][orig] for token, side, orig in self.plan
+        })
 
 
 def pushout_complex(f, g):
@@ -173,48 +176,37 @@ def pushout_complex(f, g):
             "the precedence order of the base complex is not total"
         )
 
-    glued = {}
-    for p in M.degrees():
-        for m in M.tokens(p):
-            glued[g.image_of(m).items()[0][0]] = "K:" + f.image_of(m).items()[0][0]
-
-    def left_name(token):
-        return "K:" + token
-
-    def right_name(token):
-        return glued.get(token, "L:" + token)
+    glue = tuple(
+        (f.image_of(m).items()[0][0], g.image_of(m).items()[0][0])
+        for p in M.degrees()
+        for m in M.tokens(p)
+    )
+    glued = {b: "K:" + a for a, b in glue}
+    sides = ((K, lambda t: "K:" + t), (L, lambda t: glued.get(t, "L:" + t)))
 
     dim = max(K.dim, L.dim)
     basis = [[] for _ in range(dim + 1)]
+    plans = [[] for _ in range(dim + 1)]
     diff = {}
     aug = {}
-    for p in K.degrees():
-        for token in K.tokens(p):
-            name = left_name(token)
-            basis[p].append(name)
-            if p == 0:
-                aug[name] = K.aug_of(token)
-            else:
-                diff[name] = Chain.make(
-                    p - 1, [(left_name(t), c) for t, c in K.diff_of(token).items()]
-                )
-    for p in L.degrees():
-        for token in L.tokens(p):
-            if token in glued:
-                continue
-            name = right_name(token)
-            basis[p].append(name)
-            if p == 0:
-                aug[name] = L.aug_of(token)
-            else:
-                diff[name] = Chain.make(
-                    p - 1, [(right_name(t), c) for t, c in L.diff_of(token).items()]
-                )
+    for side, (X, name_of) in enumerate(sides):
+        for p in X.degrees():
+            for token in X.tokens(p):
+                if side and token in glued:
+                    continue
+                name = name_of(token)
+                basis[p].append(name)
+                plans[p].append((name, side, token))
+                if p == 0:
+                    aug[name] = X.aug_of(token)
+                else:
+                    diff[name] = Chain.make(
+                        p - 1, [(name_of(t), c) for t, c in X.diff_of(token).items()]
+                    )
     P = DirComplex(basis, diff, aug)
-    left = AdcMorphism(
-        K, P, {t: Chain.unit(p, left_name(t)) for p in K.degrees() for t in K.tokens(p)}
+    left, right = (
+        AdcMorphism(X, P, {t: Chain.unit(p, name_of(t)) for p in X.degrees() for t in X.tokens(p)})
+        for X, name_of in sides
     )
-    right = AdcMorphism(
-        L, P, {t: Chain.unit(p, right_name(t)) for p in L.degrees() for t in L.tokens(p)}
-    )
-    return Pushout(M, P, left, right, f, g)
+    plan = tuple(entry for level in plans for entry in level)
+    return Pushout(M, P, left, right, f, g, plan, glue)

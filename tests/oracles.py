@@ -134,3 +134,21 @@ def oracle_c(phi):
             collapsed = len(set(values)) < len(values)
             images[simplex_token(tup)] = Chain.zero(p) if collapsed else simplex_chain(values)
     return AdcMorphism(c_delta(phi.src), c_delta(phi.dst), images)
+
+
+def apply_by_make(f, x):
+    """f(x) as one raw term list, f's image of each token scaled by its
+    coefficient in x, summed by ``Chain.make``."""
+    return Chain.make(
+        x.degree, [(s, c * k) for t, c in x.coeffs for s, k in f.image_of(t).coeffs]
+    )
+
+
+def composite_by_make(f, g):
+    """The images of f . g, each summed from its raw terms by ``Chain.make``."""
+    return {t: apply_by_make(f, x) for t, x in g._images.items()}
+
+
+def sum_by_make(x, y, sign):
+    """x + sign * y from the concatenated term lists, summed by ``Chain.make``."""
+    return Chain.make(x.degree, list(x.coeffs) + [(t, sign * c) for t, c in y.coeffs])

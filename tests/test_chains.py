@@ -19,7 +19,7 @@ from steiner_lab import (
     validate_complex,
 )
 from steiner_lab.chains import _toposort
-from oracles import loopfree_by_networkx
+from oracles import apply_by_make, composite_by_make, loopfree_by_networkx, sum_by_make
 
 
 def chain(degree, items):
@@ -63,6 +63,112 @@ def test_chain_arithmetic_is_abelian(x, y):
     assert x + y == y + x
     assert (x + y) - y == x
     assert 2 * x == x + x
+
+
+def test_chain_is_an_immutable_value():
+    c = chain(1, {"b": 2, "a": -1})
+    for attr in ("degree", "coeffs", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(c, attr, 0)
+    assert Chain(0, ()) != (0, ())
+    assert not Chain(0, ()) == (0, ())
+    assert (0, ()) != Chain(0, ()) and not (0, ()) == Chain(0, ())
+    same = Chain(degree=1, coeffs=(("a", -1), ("b", 2)))
+    assert same == c and not same != c and hash(same) == hash(c)
+    assert len({c, same, chain(1, [("b", 1), ("a", -1), ("b", 1)])}) == 1
+    assert c != chain(2, {"b": 2, "a": -1}) and c != chain(1, {"b": 2})
+    assert repr(c) == "Chain(degree=1, coeffs=(('a', -1), ('b', 2)))"
+    assert repr(Chain.zero(2)) == "Chain(degree=2, coeffs=())"
+    assert str(c) == "-(a)+2(b)" and str(Chain.zero(2)) == "0"
+    assert str(chain(0, {"x": 1, "y": -3})) == "(x)-3(y)"
+
+
+def test_zero_and_unit_chains():
+    assert Chain.zero(3) is Chain.zero(3)
+    assert Chain.zero(3) == chain(3, {}) and Chain.zero(3) != Chain.zero(2)
+    assert Chain.zero(100) == chain(100, {}) and Chain.zero(100).is_zero
+    assert Chain.unit(1, "a") == chain(1, {"a": 1})
+    assert Chain.unit(1, "a", -2) == chain(1, {"a": -2})
+    assert Chain.unit(1, "a", 0) == Chain.zero(1)
+    assert chain(0, {"a": 2.0}).coeffs == (("a", 2),)
+    assert type(chain(0, {"a": 2.0}).coeffs[0][1]) is int
+
+
+def assert_canonical(x):
+    assert type(x) is Chain
+    tokens = [t for t, _ in x.coeffs]
+    assert tokens == sorted(set(tokens))
+    assert all(c != 0 for _, c in x.coeffs)
+
+
+# Degrees 0 and 1, zero differential: every assignment of images is a map.
+FREE = DirComplex([["a", "b", "c", "d"], ["e", "f", "g"]], {}, {})
+
+
+@st.composite
+def free_chains(draw, p):
+    """A zero, unit, scaled-unit or several-term chain of FREE in degree p."""
+    tokens = st.sampled_from(FREE.tokens(p))
+    kind = draw(st.sampled_from(["zero", "unit", "scaled", "terms"]))
+    if kind == "zero":
+        return Chain.zero(p)
+    if kind == "unit":
+        return Chain.unit(p, draw(tokens))
+    if kind == "scaled":
+        return Chain.unit(p, draw(tokens), draw(st.sampled_from([-2, -1, 2, 3])))
+    return chain(p, draw(st.lists(st.tuples(tokens, st.integers(-2, 2)), max_size=5)))
+
+
+@st.composite
+def free_maps(draw):
+    return AdcMorphism(FREE, FREE, {
+        t: draw(free_chains(p)) for p in FREE.degrees() for t in FREE.tokens(p)
+    })
+
+
+def check_against_raw_sums(f, g):
+    composite = f.after(g)
+    assert composite._images == composite_by_make(f, g)
+    for t, x in g._images.items():
+        y = f.image_of(t)
+        assert f.apply(x) == apply_by_make(f, x)
+        assert x + y == sum_by_make(x, y, 1)
+        assert x - y == sum_by_make(x, y, -1)
+        for z in (composite.image_of(t), f.apply(x), x + y, x - y):
+            assert_canonical(z)
+
+
+@given(free_maps(), free_maps())
+@settings(max_examples=300, deadline=None)
+def test_composites_and_sums_match_raw_term_sums(f, g):
+    check_against_raw_sums(f, g)
+
+
+def test_composite_image_kinds():
+    # f(b) = -f(a), so g's image a + b of "c" cancels to zero under f
+    units = {t: Chain.unit(p, t) for p in FREE.degrees() for t in FREE.tokens(p)}
+    f = AdcMorphism(FREE, FREE, dict(
+        units,
+        a=chain(0, {"c": 1, "d": 2}),
+        b=chain(0, {"c": -1, "d": -2}),
+        d=chain(0, {"a": 3}),
+    ))
+    g = AdcMorphism(FREE, FREE, dict(
+        units,
+        a=Chain.zero(0),                      # zero image
+        b=Chain.unit(0, "d"),                 # unit image
+        c=chain(0, {"a": 1, "b": 1}),         # cancels to zero
+        d=Chain.unit(0, "a", -1),             # one term, coefficient -1
+        e=Chain.unit(1, "f", 2),              # one term, coefficient 2
+        g=chain(1, {"e": 1, "f": -1, "g": 2}),
+    ))
+    check_against_raw_sums(f, g)
+    composite = f.after(g)
+    assert composite.image_of("a") == Chain.zero(0)
+    assert composite.image_of("b") == chain(0, {"a": 3})
+    assert composite.image_of("c") == Chain.zero(0)
+    assert composite.image_of("d") == chain(0, {"c": -1, "d": -2})
+    assert composite.image_of("e") == chain(1, {"f": 2})
 
 
 # -- complexes ---------------------------------------------------------------

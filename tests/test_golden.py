@@ -1,6 +1,7 @@
 """Byte-identical CLI outputs against frozen golden files."""
 
 import contextlib
+import hashlib
 import io
 import pathlib
 
@@ -42,3 +43,13 @@ def test_cli_output_matches_golden_file(name, argv):
 def test_golden_outputs_are_reproducible(tmp_path):
     for argv in (["oriental", "2", "--counts"], ["tensor", TRIANGLE, TRIANGLE]):
         assert capture(argv) == capture(argv)
+
+
+# sha256 of the stdout of `steiner-lab verify theorem-a --m-max 2 --n-max 3`,
+# pinned as a digest so that no golden file grows
+THEOREM_A_2_3_SHA256 = "ad94269c1d25cb1a3fa531b06119bdab6c4db6e5a98c1d6773fe605eda4afbe5"
+
+
+def test_theorem_a_2_3_output_digest():
+    out = capture(["verify", "theorem-a", "--m-max", "2", "--n-max", "3"])
+    assert hashlib.sha256(out.encode()).hexdigest() == THEOREM_A_2_3_SHA256

@@ -124,8 +124,11 @@ def validated(phi):
 
 def test_trusted_maps_equal_validated_ones():
     maps = [phi for m in range(5) for n in range(5) for phi in all_monotone_maps(m, n)]
-    for phi in maps:
+    # the hash is computed once per map, by either constructor, from the same values
+    position = {validated(phi): i for i, phi in enumerate(maps)}
+    for i, phi in enumerate(maps):
         assert validated(phi) == phi and hash(validated(phi)) == hash(phi)
+        assert position[phi] == i
         for psi in all_monotone_maps(min(phi.src, 2), phi.src):
             assert validated(phi.compose(psi)) == phi.compose(psi)
     for n in range(1, 5):

@@ -20,7 +20,8 @@ from steiner_lab import (
     validate_complex,
     vertex_map,
 )
-from steiner_lab.simplex import MonotoneMap
+from steiner_lab.retract import attachment_pushout
+from steiner_lab.simplex import MonotoneMap, constant_map
 from steiner_lab.tensor import (
     PushoutPreconditionError,
     left_unitor,
@@ -192,3 +193,19 @@ def test_wedge_pushouts_are_strong_steiner(m, n):
     assert validate_complex(P.complex).ok
     assert is_unitary(P.complex)
     assert strong_loopfree_order(P.complex) is not None
+
+
+def test_induced_rejects_bad_co_pairings():
+    P = attachment_pushout(1, 1)
+    assert P.induced(P.left, P.right) == identity_morphism(P.complex)
+    cylinder = P.right.source
+    with pytest.raises(ValueError, match="wrong sources"):
+        P.induced(P.right, P.right)
+    with pytest.raises(ValueError, match="different targets"):
+        P.induced(P.left, identity_morphism(cylinder))
+    # push the whole cylinder to its far end, away from the glued base
+    far_end = tensor_morphism(c_of_map(constant_map(1, 1, 1)), identity_morphism(c_delta(1)))
+    v = P.right.after(far_end)
+    assert check_morphism(v).ok
+    with pytest.raises(ValueError, match="disagree on the base"):
+        P.induced(P.left, v)
