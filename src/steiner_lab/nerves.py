@@ -6,14 +6,16 @@ simplex records are canonical hashable values (monotone maps, complex
 morphisms, pairs of those), so equality is syntactic.  Operators act
 through a single ``act`` entry point memoized per space.
 
-A nerve also gives each simplex of its levels an int code: the ids of its
-image chains in cDelta(n)'s token order, then those of the zero chains,
-with ids kept per nerve.  An operator acts on a coded simplex by gathering
-its code through ``_code_plan(phi, cap)`` and looking the result up among
-the coded simplices, so a hit builds, hashes and compares no morphism.
-Any other value, an operator past the cap or of another dimension, and a
-code not seen yet go through ``precompose``; a new result from a coded
-simplex is coded then.
+A nerve simplex x of dimension n is acted on by phi: Delta(m) -> Delta(n)
+through precomposition, ``x.after(c_of_map(phi))``.  A nerve also gives
+each simplex of its levels an int code: the ids of its image chains in
+cDelta(n)'s token order, then those of the zero chains, with ids kept per
+nerve.  Since c(phi) sends each simplex to a basis chain or to 0, the code
+of x.after(c(phi)) is a gather of x's code, ``_code_plan(phi, cap)``, and
+is looked up among the coded simplices, so a hit builds, hashes and
+compares no morphism.  Any other value, an operator past the cap or of
+another dimension, and a code not seen yet are composed; a new result from
+a coded simplex is coded then.
 """
 
 from __future__ import annotations
@@ -23,19 +25,18 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chains import AdcMorphism, Chain
+from .chains import AdcMorphism, Chain, _combine
 from .simplex import (
     MonotoneMap,
     all_monotone_maps,
     c_delta,
+    c_of_map,
     degeneracy_map,
     face_map,
     identity_map,
     initial_inclusion,
     final_inclusion,
     join_maps,
-    precompose,
-    reindex_plan,
 )
 from .solve import solve_augmentation, solve_boundary
 
@@ -255,11 +256,9 @@ def enumerate_morphisms(src, dst, fixed=None, coeff_bound=None):
             if p == 0:
                 target = src.aug_of(token)
             else:
-                target = Chain.make(p - 1, [
-                    (s, coeff * k)
-                    for t, coeff in src.diff_of(token).items()
-                    for s, k in assignment[t].items()
-                ])
+                target = _combine(
+                    p - 1, [(coeff, assignment[t][1]) for t, coeff in src.diff_of(token).items()]
+                )
             candidates = (
                 solve_augmentation(dst, target, coeff_bound) if p == 0
                 else solve_boundary(dst, p, target, coeff_bound)
@@ -288,14 +287,18 @@ def hom_enumerate(n, K, coeff_bound=None):
 def _code_plan(phi, cap):
     """The gather from the code of a phi.dst-simplex, in a nerve of cap
     ``cap``, to the code of its image: for each token of cDelta(phi.src),
-    the position of its image token, or of the zero of its degree p
-    (end + p) where phi repeats a value on it; then the zero ids.  An
+    the position of the token of its image under c(phi), or of the zero of
+    its degree p (end + p) where that image is 0; then the zero ids.  An
     ``itemgetter`` gathers in C and builds the code at its final size."""
     tokens = itertools.chain.from_iterable(c_delta(phi.dst).basis)
     position = {token: i for i, token in enumerate(tokens)}
     end = len(position)
+    c = c_of_map(phi)
     return operator.itemgetter(
-        *(end + p if image is None else position[image] for _, p, image in reindex_plan(phi)),
+        *(
+            position[image.coeffs[0][0]] if image.coeffs else end + image.degree
+            for image in map(c.image_of, itertools.chain.from_iterable(c.source.basis))
+        ),
         *range(end, end + cap + 1),
     )
 
@@ -332,10 +335,10 @@ def nerve(K, cap, coeff_bound=None):
     def act(phi, x):
         code = codes.get(x)
         if code is None or phi.src > cap or x.source != c_delta(phi.dst):
-            return precompose(x, phi)
+            return x.after(c_of_map(phi))
         key = _code_plan(phi, cap)(code)
         y = coded.get(key)
-        return register(precompose(x, phi), key) if y is None else y
+        return register(x.after(c_of_map(phi)), key) if y is None else y
 
     N = SimplicialSetTrunc(cap, level, act, label=f"N({K!r})")
     return N

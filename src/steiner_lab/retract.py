@@ -40,12 +40,9 @@ from .simplex import (
     c_of_map,
     constant_map,
     final_inclusion,
-    gather,
     identity_map,
     initial_inclusion,
     join_maps,
-    precompose,
-    reindex_plan,
     simplex_chain,
     simplex_morphism,
     simplex_token,
@@ -64,7 +61,7 @@ from .tensor import (
 
 
 # Entries kept per constructor; verify_suite(3, 3) needs at most 121 (the
-# cylinder plans, one per psi).
+# cylinder maps, one per psi).
 MAP_CACHE_SIZE = 256
 
 
@@ -73,24 +70,9 @@ def _shift(tup, k):
 
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)
-def _cylinder_plan(psi):
-    """reindex_plan(psi) on each end and the edge of the interval:
-    a(x)t goes to a(x)psi(t)."""
-    I = c_delta(1)
-    return tuple(
-        (tensor_token(a, t), q + p, None if s is None else tensor_token(a, s))
-        for q in I.degrees()
-        for a in I.tokens(q)
-        for t, p, s in reindex_plan(psi)
-    )
-
-
-def cylinder_precompose(f, psi):
-    """f . (id (x) c(psi)) for f out of interval (x) cDelta(psi.dst), as a gather."""
-    I = c_delta(1)
-    if f.source != tensor_complex(I, c_delta(psi.dst)):
-        raise ValueError("composition mismatch")
-    return gather(f, tensor_complex(I, c_delta(psi.src)), _cylinder_plan(psi))
+def _cylinder_map(psi):
+    """id (x) c(psi): interval (x) cDelta(psi.src) -> interval (x) cDelta(psi.dst)."""
+    return tensor_morphism(identity_morphism(c_delta(1)), c_of_map(psi))
 
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)
@@ -311,13 +293,13 @@ class SliceRetract:
 def slice_retract_data(u, b, m):
     """Build the retract data for the relative under-slice of u at b."""
     big = map_under_slice(u, b, m)
-    b_last = precompose(b, vertex_map(m, m))
+    b_last = b.after(c_of_map(vertex_map(m, m)))
     small = map_under_slice(u, b_last, 0)
 
     def r_fn(n, pair):
         y, x = pair
         spine = MonotoneMap(1 + n, m + 1 + n, tuple(m + k for k in range(n + 2)))
-        return (precompose(y, spine), x)
+        return (y.after(c_of_map(spine)), x)
 
     def s_fn(n, pair):
         y_prime, x = pair
@@ -396,9 +378,7 @@ def _cone_checks(n_max):
         for n2 in range(n_max + 1):
             for psi in all_monotone_maps(n2, n):
                 instances += 1
-                lhs = cylinder_to_cone(n).after(
-                    tensor_morphism(identity_morphism(c_delta(1)), c_of_map(psi))
-                )
+                lhs = cylinder_to_cone(n).after(_cylinder_map(psi))
                 rhs = c_of_map(join_maps(identity_map(0), psi)).after(cylinder_to_cone(n2))
                 if lhs != rhs:
                     out.append(
@@ -421,8 +401,9 @@ def _attachment_checks(m_max, n_max):
             )
         )
     for k, (m, n) in enumerate(pairs, 1):
-        lhs = precompose(cylinder_attachment(m, n), initial_inclusion(m, n))
-        rhs = precompose(attachment_pushout(m, n).left, initial_inclusion(m, n))
+        initial = c_of_map(initial_inclusion(m, n))
+        lhs = cylinder_attachment(m, n).after(initial)
+        rhs = attachment_pushout(m, n).left.after(initial)
         if lhs != rhs:
             out.append(IdentityResult(
                 f"cylinder attachment fixes the initial face (m={m}, n={n})",
@@ -439,11 +420,11 @@ def _attachment_checks(m_max, n_max):
             for phi in all_monotone_maps(m2, m):
                 for psi in all_monotone_maps(n2, n):
                     instances += 1
-                    joined = join_maps(phi, psi)
+                    joined = c_of_map(join_maps(phi, psi))
                     glue = attachment_pushout(m2, n2).induced(
-                        precompose(P.left, joined), cylinder_precompose(P.right, psi)
+                        P.left.after(joined), P.right.after(_cylinder_map(psi))
                     )
-                    lhs = precompose(cylinder_attachment(m, n), joined)
+                    lhs = cylinder_attachment(m, n).after(joined)
                     rhs = glue.after(cylinder_attachment(m2, n2))
                     if lhs != rhs:
                         failures.append(f"(m,n)=({m},{n}) phi={phi.image} psi={psi.image}")
@@ -522,8 +503,8 @@ def _wedge_checks(m_max, n_max):
                     instances += 1
                     psi1 = join_maps(identity_map(m), psi)
                     psi2 = join_maps(identity_map(0), psi)
-                    glue = wedge_pushout(m, n2).induced(P.left, precompose(P.right, psi2))
-                    lhs = precompose(f, psi1)
+                    glue = wedge_pushout(m, n2).induced(P.left, P.right.after(c_of_map(psi2)))
+                    lhs = f.after(c_of_map(psi1))
                     rhs = glue.after(wedge_projection(m, n2))
                     if lhs != rhs:
                         failures.append(f"(m,n,n')=({m},{n},{n2}) psi={psi.image}")
@@ -568,7 +549,7 @@ def _partial_wedge_checks(m_max, n_max):
                     psi1 = join_maps(identity_map(m), psi)
                     for phi in all_monotone_maps(n, 1):
                         instances += 1
-                        lhs = precompose(partial_wedge_projection(m, n, phi), psi1)
+                        lhs = partial_wedge_projection(m, n, phi).after(c_of_map(psi1))
                         rhs = c_of_map(psi1).after(
                             partial_wedge_projection(m, n2, phi.compose(psi))
                         )

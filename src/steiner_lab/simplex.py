@@ -5,13 +5,12 @@ sum Delta(m) |_| Delta(n) is Delta(m+1+n), with the second block shifted by
 m+1.  This is a disjoint sum of underlying ordered sets, not a categorical
 coproduct, so no object-level construction is needed.
 
-Precomposing a map f out of cDelta(n) with the chains of a monotone map
-phi: Delta(m) -> Delta(n) only moves f's images around: ``precompose(f, phi)``
-sends each simplex t to f(phi(t)), or to 0 where phi repeats a value on t.
-It gathers through ``reindex_plan(phi)``, cached per phi (at most
-``REINDEX_PLAN_CACHE_SIZE`` plans), and ``c_of_map(phi)`` is the gather of
-an identity (at most ``C_OF_MAP_CACHE_SIZE`` maps).  Maps built here from
-already-valid values skip ``MonotoneMap``'s checks.
+A simplicial operator phi: Delta(m) -> Delta(n) acts on a map f out of
+cDelta(n) by precomposition, ``f.after(c_of_map(phi))``.  ``c_of_map(phi)``
+sends each simplex t to the basis chain of phi(t), or to 0 where phi
+repeats a value on t; the basis chains are cDelta(n)'s own, shared by every
+map into it, and at most ``C_OF_MAP_CACHE_SIZE`` maps are kept.  Maps built
+here from already-valid values skip ``MonotoneMap``'s checks.
 """
 
 from __future__ import annotations
@@ -21,12 +20,10 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chains import AdcMorphism, Chain, DirComplex, identity_morphism
+from .chains import AdcMorphism, Chain, DirComplex
 
-# Distinct monotone maps kept by c_of_map and by reindex_plan; verify_suite(3, 3)
-# asks c_of_map for 492 maps and reindex_plan for 10,732 plans.
-C_OF_MAP_CACHE_SIZE = 4096
-REINDEX_PLAN_CACHE_SIZE = 16384
+# Distinct monotone maps kept by c_of_map; verify_suite(3, 3) asks for 10,732.
+C_OF_MAP_CACHE_SIZE = 16384
 
 
 @dataclass(frozen=True)
@@ -156,12 +153,12 @@ def simplex_chain(tup):
 
 
 @lru_cache(maxsize=32)
-def _token_of(n):
-    """cDelta(n)'s own tokens, keyed by their strictly increasing tuples,
+def _basis_chains(n):
+    """cDelta(n)'s basis chains, keyed by their strictly increasing tuples,
     in the order of its basis."""
     K = c_delta(n)
     return {
-        tup: token
+        tup: Chain.unit(p, token)
         for p in K.degrees()
         for token, tup in zip(K.tokens(p), itertools.combinations(range(n + 1), p + 1))
     }
@@ -171,42 +168,17 @@ def simplex_morphism(n, target, image):
     """The map out of cDelta(n) sending each simplex, given as a strictly
     increasing tuple, to the chain ``image(tup)`` of ``target``."""
     return AdcMorphism(c_delta(n), target, {
-        token: image(tup) for tup, token in _token_of(n).items()
+        chain.coeffs[0][0]: image(tup) for tup, chain in _basis_chains(n).items()
     })
-
-
-@lru_cache(maxsize=REINDEX_PLAN_CACHE_SIZE)
-def reindex_plan(phi):
-    """For each token t of cDelta(phi.src): t, its degree, and the token of
-    phi(t) in cDelta(phi.dst), or None where phi repeats a value on t."""
-    token_of = _token_of(phi.dst)
-    return tuple(
-        (token, p, token_of.get(values))
-        for p in range(phi.src + 1)
-        for token, values in zip(
-            c_delta(phi.src).tokens(p), itertools.combinations(phi.image, p + 1)
-        )
-    )
-
-
-def gather(f, source, plan):
-    """The map out of ``source`` sending each token of ``plan`` to f's image
-    of the token it names, or to 0 where it names None."""
-    images = f._images
-    zeros = [Chain.zero(p) for p in source.degrees()]
-    return AdcMorphism(source, f.target, {
-        token: zeros[p] if image is None else images[image] for token, p, image in plan
-    })
-
-
-def precompose(f, phi):
-    """f . c(phi) for f out of cDelta(phi.dst), without building c(phi)."""
-    if f.source != c_delta(phi.dst):
-        raise ValueError("composition mismatch")
-    return gather(f, c_delta(phi.src), reindex_plan(phi))
 
 
 @lru_cache(maxsize=C_OF_MAP_CACHE_SIZE)
 def c_of_map(phi):
     """The chain-level morphism of a monotone map; repeated values collapse a simplex to 0."""
-    return precompose(identity_morphism(c_delta(phi.dst)), phi)
+    source, chains = c_delta(phi.src), _basis_chains(phi.dst)
+    images = {}
+    for p in source.degrees():
+        zero = Chain.zero(p)
+        for token, values in zip(source.tokens(p), itertools.combinations(phi.image, p + 1)):
+            images[token] = chains.get(values, zero)
+    return AdcMorphism(source, c_delta(phi.dst), images)

@@ -7,6 +7,7 @@ import pytest
 from oracles import brute_morphisms, functoriality_failures
 from test_acceptance import report
 from steiner_lab import (
+    AdcMorphism,
     Chain,
     DirComplex,
     c_delta,
@@ -18,7 +19,6 @@ from steiner_lab import (
     solve,
     under_slice,
 )
-from steiner_lab import nerves
 from steiner_lab.nerves import (
     SimplicialSetTrunc,
     bisimplicial_comparison,
@@ -40,7 +40,6 @@ from steiner_lab.simplex import (
     degeneracy_map,
     face_map,
     identity_map,
-    precompose,
     vertex_map,
 )
 from steiner_lab.retract import attachment_pushout, wedge_pushout
@@ -466,24 +465,34 @@ GATHER_CASES = {
 def test_code_gather_matches_composition(name, monkeypatch):
     """Every operator within the cap, on every level simplex, gives the
     composite with c(phi), as the very object of its level, and never needs
-    the precomposition fallback."""
+    the composition fallback: ``act`` composes no morphism."""
     K, cap = GATHER_CASES[name]
     N = nerve(K, cap)
     levels = [N.simplices(n) for n in range(cap + 1)]
     fallbacks = []
+    after = AdcMorphism.after
+    in_act = [False]
 
-    def counting(f, phi):
-        fallbacks.append(phi)
-        return precompose(f, phi)
+    def counting(f, g):
+        if in_act[0]:
+            fallbacks.append(g)
+        return after(f, g)
 
-    monkeypatch.setattr(nerves, "precompose", counting)
+    def act(phi, x):
+        in_act[0] = True
+        try:
+            return N.act(phi, x)
+        finally:
+            in_act[0] = False
+
+    monkeypatch.setattr(AdcMorphism, "after", counting)
     for n in range(cap + 1):
         for m in range(cap + 1):
             level = {id(y) for y in levels[m]}
             for phi in all_monotone_maps(m, n):
                 c = c_of_map(phi)
                 for x in levels[n]:
-                    y = N.act(phi, x)
+                    y = act(phi, x)
                     assert y == x.after(c)
                     assert id(y) in level
     assert not fallbacks
@@ -519,7 +528,7 @@ def test_act_without_a_code_is_precomposition():
             n = y.source.dim
             for m in range(5):
                 for phi in all_monotone_maps(m, n):
-                    assert N2.act(phi, y) == precompose(y, phi)
+                    assert N2.act(phi, y) == y.after(c_of_map(phi))
     assert N2.act(identity_map(1), outside).target == c_delta(3)
     with pytest.raises(ValueError, match="composition mismatch"):
         N2.act(face_map(2, 0), N2.simplices(1)[0])

@@ -1,19 +1,21 @@
-"""Precomposition with a simplicial operator as a gather, against the
-composite with an independently built c(phi)."""
+"""Precomposition with a simplicial operator: c(phi) against an independently
+built c(phi), composites through ``after`` against composites summed from
+raw terms, and the cylinder map id (x) c(psi) against a(x)t -> a(x)psi(t)."""
 
 import pytest
 
-from oracles import oracle_c
-from steiner_lab import AdcMorphism, Chain, identity_morphism, tensor_morphism
-from steiner_lab.retract import attachment_pushout, cylinder_precompose
+from oracles import composite_by_make, oracle_c
+from steiner_lab import AdcMorphism, Chain, identity_morphism
+from steiner_lab.retract import _cylinder_map, attachment_pushout
 from steiner_lab.simplex import (
     all_monotone_maps,
     c_delta,
     c_of_map,
     identity_map,
-    precompose,
+    simplex_token,
+    token_simplex,
 )
-from steiner_lab.tensor import tensor_complex
+from steiner_lab.tensor import tensor_complex, tensor_token
 
 
 def labelled(K, L):
@@ -40,12 +42,14 @@ def test_precompose_and_c_of_map_match_the_oracle():
         c = oracle_c(phi)
         assert c_of_map(phi) == c
         f = labelled(c_delta(phi.dst), c_delta(4))
-        assert precompose(f, phi) == f.after(c)
+        assert f.after(c_of_map(phi))._images == composite_by_make(f, c)
         collapsing += len(set(phi.image)) < len(phi.image)
     assert collapsing > 0
 
 
 def test_cylinder_gather_matches_tensor_composite():
+    """id (x) c(psi) sends a(x)t to a(x)psi(t), or to 0 where psi repeats a
+    value on t, and precomposing with it is composing with it."""
     I = c_delta(1)
     checked = 0
     for n in range(4):
@@ -53,15 +57,27 @@ def test_cylinder_gather_matches_tensor_composite():
         f = labelled(tensor_complex(I, c_delta(n)), tensor_complex(I, c_delta(4)))
         for n2 in range(4):
             for psi in all_monotone_maps(n2, n):
-                via_tensor = tensor_morphism(identity_morphism(I), c_of_map(psi))
-                assert cylinder_precompose(P.right, psi) == P.right.after(via_tensor)
-                assert cylinder_precompose(f, psi) == f.after(via_tensor)
+                cylinder = _cylinder_map(psi)
+                assert cylinder.source == tensor_complex(I, c_delta(n2))
+                assert cylinder.target == tensor_complex(I, c_delta(n))
+                for q in I.degrees():
+                    for a in I.tokens(q):
+                        for p in c_delta(n2).degrees():
+                            for t in c_delta(n2).tokens(p):
+                                values = tuple(psi(i) for i in token_simplex(t))
+                                want = (
+                                    Chain.zero(p + q) if len(set(values)) < len(values)
+                                    else Chain.unit(p + q, tensor_token(a, simplex_token(values)))
+                                )
+                                assert cylinder.image_of(tensor_token(a, t)) == want
+                for g in (P.right, f):
+                    assert g.after(cylinder)._images == composite_by_make(g, cylinder)
                 checked += 1
     assert checked == 121
 
 
 def test_mismatched_sources_raise():
     with pytest.raises(ValueError, match="composition mismatch"):
-        precompose(identity_morphism(c_delta(2)), identity_map(3))
+        identity_morphism(c_delta(2)).after(c_of_map(identity_map(3)))
     with pytest.raises(ValueError, match="composition mismatch"):
-        cylinder_precompose(identity_morphism(c_delta(2)), identity_map(2))
+        identity_morphism(c_delta(2)).after(_cylinder_map(identity_map(2)))

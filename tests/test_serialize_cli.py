@@ -114,6 +114,14 @@ def test_cli_rejects_negative_bounds(triangle_file, identity_file, capsys, argv)
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["adc", "frobnicate", "TRIANGLE"], ["verify", "theorem-b"]])
+def test_cli_rejects_unknown_choices(triangle_file, capsys, argv):
+    assert run([triangle_file if a == "TRIANGLE" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice" in captured.err
+
+
 def test_cli_tensor_and_pushout(tmp_path, capsys):
     i_path = tmp_path / "interval.json"
     i_path.write_text(dumps(complex_to_json(c_delta(1))))

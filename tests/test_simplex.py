@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steiner_lab import (
+    Chain,
     MonotoneMap,
     all_monotone_maps,
     c_delta,
@@ -106,6 +107,19 @@ def test_map_images_share_the_simplex_tokens():
         for t in f.source.tokens(1) + f.source.tokens(2):
             for token, _ in f.image_of(t).items():
                 assert token is canonical[token]
+    # every map into Delta(3) sends a simplex to one shared basis-chain object
+    shared = {}
+    for m in range(4):
+        for phi in all_monotone_maps(m, 3):
+            f = c_of_map(phi)
+            for p in range(m + 1):
+                for t in c_delta(m).tokens(p):
+                    image = f.image_of(t)
+                    if image.is_zero:
+                        assert image is Chain.zero(p)
+                    else:
+                        assert shared.setdefault(image, image) is image
+    assert len(shared) == 15
 
 
 def test_direct_construction_still_validates():
