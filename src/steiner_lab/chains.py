@@ -12,6 +12,7 @@ sorted by token), so equality and hashing are syntactic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -135,13 +136,15 @@ _ZEROS = tuple(Chain(p, ()) for p in range(32))
 
 def _combine(degree, terms):
     """The canonical chain sum(c * x) over the (c, x's coeffs) pairs of
-    ``terms``: one accumulation, zeros dropped, tokens sorted."""
+    ``terms``: one accumulation, zeros dropped, tokens sorted.  A sum that
+    cancels is the shared ``Chain.zero(degree)``."""
     acc = {}
     get = acc.get
     for c, coeffs in terms:
         for t, k in coeffs:
             acc[t] = get(t, 0) + c * k
-    return _new(Chain, (degree, tuple(sorted([tk for tk in acc.items() if tk[1]]))))
+    items = sorted([tk for tk in acc.items() if tk[1]])
+    return _new(Chain, (degree, tuple(items))) if items else Chain.zero(degree)
 
 
 def pos_neg_decompose(x):
@@ -364,13 +367,6 @@ class AdcMorphism:
                 images[t] = _combine(chain[0], [(c, mine[s][1]) for s, c in items])
         return AdcMorphism(other.source, self.target, images)
 
-    def _key(self):
-        return (
-            self.source,
-            self.target,
-            tuple(sorted((t, ch.coeffs) for t, ch in self._images.items())),
-        )
-
     def __eq__(self, other):
         if self is other:
             return True
@@ -382,8 +378,10 @@ class AdcMorphism:
         )
 
     def __hash__(self):
+        """Hashes the images in the source's basis order; a missing one as None."""
         if self._hash is None:
-            super().__setattr__("_hash", hash(self._key()))
+            images = tuple(map(self._images.get, itertools.chain.from_iterable(self.source.basis)))
+            super().__setattr__("_hash", hash((self.source, self.target, images)))
         return self._hash
 
     def __repr__(self):

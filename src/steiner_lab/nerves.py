@@ -6,6 +6,11 @@ simplex records are canonical hashable values (monotone maps, complex
 morphisms, pairs of those), so equality is syntactic.  Operators act
 through a single ``act`` entry point memoized per space.
 
+The n-simplices of a nerve are the morphisms out of cDelta(n), found by
+``enumerate_morphisms``: it grows partial morphisms as tuples of images
+and, since a generator's boundary constraint depends only on the images
+of its faces, solves each generator once per distinct tuple of those.
+
 A nerve simplex x of dimension n is acted on by phi: Delta(m) -> Delta(n)
 through precomposition, ``x.after(c_of_map(phi))``.  A nerve also gives
 each simplex of its levels an int code: the ids of its image chains in
@@ -242,38 +247,40 @@ def _generator_order(src):
 def enumerate_morphisms(src, dst, fixed=None, coeff_bound=None):
     """All complex morphisms src -> dst, grown one generator at a time.
 
-    ``fixed`` pins images of some source tokens.  Each generator's image
-    solves the boundary constraint induced by the previously chosen ones.
-    Returns (morphisms, complete).
+    ``fixed`` pins images of some source tokens.  A partial morphism is the
+    tuple of its images in generator order.  A generator's candidates, pin
+    applied, are solved once per distinct tuple of its faces' images.
+    Returns (morphisms, complete), the morphisms sorted by images in token order.
     """
     fixed = fixed or {}
     complete = True
-    partials = [{}]
-    for token in _generator_order(src):
+    order = _generator_order(src)
+    position = {token: i for i, token in enumerate(order)}
+    partials = [()]
+    for token in order:
         p = src.degree_of(token)
+        pin = fixed.get(token)
+        faces = src.diff_of(token).items() if p else ()
+        key_of = operator.itemgetter(*[position[t] for t, _ in faces]) if faces else lambda _: ()
+        candidates = {}  # face images -> the images of token, as 1-tuples
         grown = []
-        for assignment in partials:
-            if p == 0:
-                target = src.aug_of(token)
-            else:
-                target = _combine(
-                    p - 1, [(coeff, assignment[t][1]) for t, coeff in src.diff_of(token).items()]
-                )
-            candidates = (
-                solve_augmentation(dst, target, coeff_bound) if p == 0
-                else solve_boundary(dst, p, target, coeff_bound)
-            )
-            complete &= candidates.complete
-            pin = fixed.get(token)
-            for z in candidates.chains:
-                if pin is not None and z != pin:
-                    continue
-                new = dict(assignment)
-                new[token] = z
-                grown.append(new)
+        for partial in partials:
+            key = key_of(partial)
+            found = candidates.get(key)
+            if found is None:
+                if p == 0:
+                    result = solve_augmentation(dst, src.aug_of(token), coeff_bound)
+                else:
+                    images = (key,) if len(faces) == 1 else key
+                    target = _combine(p - 1, [(c, z[1]) for (_, c), z in zip(faces, images)])
+                    result = solve_boundary(dst, p, target, coeff_bound)
+                complete &= result.complete
+                found = candidates[key] = [(z,) for z in result.chains if pin is None or z == pin]
+            grown += [partial + z for z in found]
         partials = grown
-    morphisms = [AdcMorphism(src, dst, images) for images in partials]
-    morphisms.sort(key=lambda f: f._key()[2])
+    if order:
+        partials.sort(key=operator.itemgetter(*[position[t] for t in sorted(order)]))
+    morphisms = [AdcMorphism(src, dst, dict(zip(order, images))) for images in partials]
     return morphisms, complete
 
 
@@ -374,10 +381,7 @@ def under_slice(Y, y, m):
 
 
 def under_slice_projection(Y, y, m, slice_space):
-    def fn(n, yp):
-        return Y.act(final_inclusion(m, n), yp)
-
-    return SimplicialMap(slice_space, Y, fn)
+    return SimplicialMap(slice_space, Y, lambda n, yp: Y.act(final_inclusion(m, n), yp))
 
 
 def over_slice(Y, y, m):
@@ -399,10 +403,7 @@ def over_slice(Y, y, m):
 
 
 def over_slice_projection(Y, y, m, slice_space):
-    def fn(n, yp):
-        return Y.act(initial_inclusion(n, m), yp)
-
-    return SimplicialMap(slice_space, Y, fn)
+    return SimplicialMap(slice_space, Y, lambda n, yp: Y.act(initial_inclusion(n, m), yp))
 
 
 def _pairs_over_final_face(u, m, n, candidates):

@@ -264,3 +264,16 @@ def test_criterion_9_contractibility_data():
     vertex = [x for x in N2.simplices(0) if x.image_of("0") == Chain.unit(0, "1")][0]
     contraction_equations(decalage_homotopy(N2, vertex, 0), 2)
     report(9, started, 120)
+
+
+def test_nerve_of_the_tetrahedron_to_cap_five():
+    """The tetrahedron's nerve to cap 5, built without acting first: its level
+    sizes and its ordered levels, recorded before the enumeration solved once
+    per tuple of face images."""
+    from test_nerves import _level_digest
+
+    started = time.time()
+    N = nerve(c_delta(3), 5)
+    assert [len(N.simplices(n)) for n in range(6)] == [4, 15, 60, 265, 1316, 7461]
+    report("nerve(Delta3, 5)", started, 10)
+    assert _level_digest(N, 5) == "5fdcff768da44bfe"

@@ -1,3 +1,5 @@
+import json
+
 import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +21,8 @@ from steiner_lab import (
     validate_complex,
 )
 from steiner_lab.chains import _toposort
+from steiner_lab.serialize import morphism_from_json, morphism_to_json
+from steiner_lab.simplex import all_monotone_maps, c_of_map
 from oracles import apply_by_make, composite_by_make, loopfree_by_networkx, sum_by_make
 
 
@@ -92,6 +96,32 @@ def test_zero_and_unit_chains():
     assert Chain.unit(1, "a", 0) == Chain.zero(1)
     assert chain(0, {"a": 2.0}).coeffs == (("a", 2),)
     assert type(chain(0, {"a": 2.0}).coeffs[0][1]) is int
+
+
+def test_cancelling_sums_are_the_shared_zero():
+    x = chain(1, {"a": 2, "b": -1})
+    K = c_delta(3)
+    assert chain(2, {}) is Chain.zero(2)
+    assert x - x is Chain.zero(1)
+    assert K.d(K.d(K.unit_chain("0,1,2,3"))) is Chain.zero(1)
+
+
+def test_morphism_hash_reads_images_in_basis_order():
+    """Equal maps hash equal whatever order their images were filled in, so
+    maps read back from JSON find the trusted ones they equal."""
+    K = c_delta(2)
+    f = identity_morphism(K)
+    g = AdcMorphism(K, K, dict(reversed(f._images.items())))
+    assert list(g._images) != list(f._images)
+    assert g == f and hash(g) == hash(f)
+    trusted = {c_of_map(phi): phi for phi in all_monotone_maps(2, 2)}
+    for h, phi in trusted.items():
+        data = morphism_to_json(h)
+        data["images"] = dict(reversed(data["images"].items()))
+        validated = morphism_from_json(json.loads(json.dumps(data)))
+        assert validated is not h and trusted[validated] is phi
+    partial = AdcMorphism(K, K, {"0": Chain.unit(0, "0")})  # hashes its missing images as None
+    assert partial not in trusted
 
 
 def assert_canonical(x):

@@ -19,6 +19,7 @@ from steiner_lab import (
     solve,
     under_slice,
 )
+import steiner_lab.nerves as nerves_module
 from steiner_lab.nerves import (
     SimplicialSetTrunc,
     bisimplicial_comparison,
@@ -85,6 +86,20 @@ def test_hom_enumeration_matches_brute_force(n, K, bound):
             c > bound for p in f.source.degrees() for t in f.source.tokens(p)
             for _, c in f.image_of(t).items()
         )
+
+
+def _shuffled(K, seed=7):
+    """K read back from JSON with fresh tokens, shuffled in every degree, so
+    neither token names nor their order match the original."""
+    data = complex_to_json(K)
+    rng = random.Random(seed)
+    tokens = [t for level in data["basis"] for t in level]
+    names = {t: f"g{i}" for i, t in enumerate(rng.sample(tokens, len(tokens)))}
+    return complex_from_json({
+        "basis": [rng.sample([names[t] for t in level], len(level)) for level in data["basis"]],
+        "diff": {names[t]: {names[s]: c for s, c in d.items()} for t, d in data["diff"].items()},
+        "aug": {names[t]: v for t, v in data["aug"].items()},
+    })
 
 
 # every complex the suite enumerates into, with (n, bound) small enough that
@@ -418,6 +433,60 @@ def test_enumeration_solves_each_boundary_target_once(monkeypatch):
     assert len(calls) == 31
 
 
+def test_enumeration_calls_the_solver_once_per_tuple_of_face_images(monkeypatch):
+    """A generator's candidates depend only on the images of its faces, so the
+    solver is asked once per distinct tuple of them, not per partial map."""
+    calls = {"boundary": 0, "augmentation": 0}
+
+    def counting(kind, solver):
+        def call(*args):
+            calls[kind] += 1
+            return solver(*args)
+        return call
+
+    monkeypatch.setattr(nerves_module, "solve_boundary", counting("boundary", solve.solve_boundary))
+    monkeypatch.setattr(
+        nerves_module, "solve_augmentation", counting("augmentation", solve.solve_augmentation)
+    )
+    assert len(hom_enumerate(4, c_delta(3))) == 1316
+    assert calls == {"boundary": 1182, "augmentation": 5}
+
+
+def _in_token_order(morphisms):
+    """Morphisms sorted by their images, read in source token order."""
+    return sorted(
+        morphisms, key=lambda f: [f.image_of(t).coeffs for t in sorted(f._images)]
+    )
+
+
+SQUARE = _shuffled(tensor_complex(c_delta(1), c_delta(1)), seed=3)
+SQUARE_VERTEX = Chain.unit(0, SQUARE.tokens(0)[0])
+SQUARE_EDGE = Chain.unit(1, next(  # an edge out of SQUARE_VERTEX
+    t for t in SQUARE.tokens(1) if SQUARE.diff_of(t).coeff(SQUARE.tokens(0)[0]) == -1
+))
+
+# (source, target, fixed, coeff_bound, the oracle's bound, complete)
+ORACLE_CASES = {
+    "edge into relabelled square": (c_delta(1), SQUARE, None, None, 2, True),
+    "triangle into relabelled square": (c_delta(2), SQUARE, None, None, 2, True),
+    "bounded into two-loop": (c_delta(1), two_loop_complex(), None, 2, 2, False),
+    "pinned": (c_delta(2), SQUARE, {"0": SQUARE_VERTEX, "0,2": SQUARE_EDGE}, None, 2, True),
+    "pin matching nothing": (c_delta(2), SQUARE, {"0": 2 * SQUARE_VERTEX}, None, 2, True),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_enumeration_equals_the_sorted_brute_force(name):
+    src, dst, fixed, bound, brute_bound, complete = ORACLE_CASES[name]
+    brute = [
+        f for f in brute_morphisms(src, dst, brute_bound)
+        if all(f.image_of(t) == z for t, z in (fixed or {}).items())
+    ]
+    morphisms, certified = enumerate_morphisms(src, dst, fixed=fixed, coeff_bound=bound)
+    assert morphisms == _in_token_order(brute) and certified == complete
+    assert (not morphisms) == (name == "pin matching nothing")
+
+
 def test_bounded_enumeration_stays_marked_incomplete():
     K = two_loop_complex()
     morphisms, complete = enumerate_morphisms(c_delta(1), K, coeff_bound=1)
@@ -440,24 +509,10 @@ def test_checks_refuse_a_negative_bound(check):
 
 # -- the nerve's code gather ------------------------------------------------------
 
-def _shuffled_prism():
-    """Delta2 (x) Delta1 read back from JSON with fresh tokens, shuffled in
-    every degree, so neither token names nor their order match the original."""
-    data = complex_to_json(tensor_complex(c_delta(2), c_delta(1)))
-    rng = random.Random(7)
-    tokens = [t for level in data["basis"] for t in level]
-    names = {t: f"g{i}" for i, t in enumerate(rng.sample(tokens, len(tokens)))}
-    return complex_from_json({
-        "basis": [rng.sample([names[t] for t in level], len(level)) for level in data["basis"]],
-        "diff": {names[t]: {names[s]: c for s, c in d.items()} for t, d in data["diff"].items()},
-        "aug": {names[t]: v for t, v in data["aug"].items()},
-    })
-
-
 GATHER_CASES = {
     "triangle": (c_delta(2), 4),
     "tetrahedron": (c_delta(3), 3),
-    "shuffled prism": (_shuffled_prism(), 3),
+    "shuffled prism": (_shuffled(tensor_complex(c_delta(2), c_delta(1))), 3),
 }
 
 
