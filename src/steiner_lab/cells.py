@@ -5,6 +5,15 @@ share every differential (d x = upper - lower one degree down), the
 degree-0 entries have augmentation 1, and the two degree-i entries agree.
 Source, target, identities and the compositions act row-wise; composition
 in mixed dimensions pads the lower cell with iterated identities.
+
+Cells, and slice cells (``slices.py``), are enumerated level by level, level
+i from level i-1.  One module slot keeps the last level either enumerator
+returned, with its key, dim and ``complete`` flag.  The key is
+("cells", K, coeff_bound) or ("slice", u, c, coeff_bound), K and u compared
+by identity.  A call with the same key and a dim at or above the kept one
+resumes from that level; any other call clears the slot first, so at most
+one level is alive at a time.  The kept tuple is never mutated, so a call
+racing another thread's at worst misses a resume.
 """
 
 from __future__ import annotations
@@ -184,6 +193,27 @@ class CellEnumeration:
         return tuple(c for c in self.cells if not is_identity_cell(c))
 
 
+_kept = None  # (key, dim, level, complete) of the last level returned
+
+
+def _resume(key, dim):
+    """The kept (dim, level, complete) if its key is ``key``, the owner
+    (``key[1]``) compared by identity, and its dim is at most ``dim``; else
+    None.  Either way the slot is emptied: the caller keeps its own level."""
+    global _kept
+    kept, _kept = _kept, None
+    if kept and kept[1] <= dim:
+        k = kept[0]
+        if k[0] == key[0] and k[1] is key[1] and k[2:] == key[2:]:
+            return kept[1:]
+    return None
+
+
+def _keep(key, dim, level, complete):
+    global _kept
+    _kept = (key, dim, level, complete)
+
+
 def enumerate_cells(K, dim, coeff_bound=None):
     """All i-cells of nu(K), by degreewise boundary-constrained search.
 
@@ -191,14 +221,21 @@ def enumerate_cells(K, dim, coeff_bound=None):
     the complex carries the peeling certificate (notably every strongly
     loop-free complex with pointed differentials), otherwise the result is
     bounded by ``coeff_bound`` and marked possibly incomplete.
+
+    The returned level is kept (see the module docstring): a next call with
+    the same K (by identity) and bound and a dim at or above this one starts
+    from it instead of from the 0-cells.
     """
     if dim < 0:
         raise ValueError(f"cell dimension must be non-negative, got {dim}")
-    complete = True
-    zero = solve_augmentation(K, 1, coeff_bound)
-    complete &= zero.complete
-    cells = [object_cell(K, z) for z in zero.chains]
-    for i in range(1, dim + 1):
+    key = ("cells", K, coeff_bound)
+    kept = _resume(key, dim)
+    if kept is None:
+        zero = solve_augmentation(K, 1, coeff_bound)
+        start, cells, complete = 0, [object_cell(K, z) for z in zero.chains], zero.complete
+    else:
+        start, cells, complete = kept
+    for i in range(start + 1, dim + 1):
         grouped = {}
         for c in cells:
             grouped.setdefault((c.x0[:-1], c.x1[:-1]), []).append(c)
@@ -216,10 +253,9 @@ def enumerate_cells(K, dim, coeff_bound=None):
                         )
                     )
         cells = new_cells
-        if dim == i:
-            break
-    cells.sort(key=lambda c: tuple(ch.coeffs for ch in c.x0 + c.x1))
-    return CellEnumeration(tuple(cells), complete)
+    cells = tuple(sorted(cells, key=lambda c: tuple(ch.coeffs for ch in c.x0 + c.x1)))
+    _keep(key, dim, cells, complete)
+    return CellEnumeration(cells, complete)
 
 
 @dataclass(frozen=True)

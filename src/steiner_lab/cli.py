@@ -273,8 +273,9 @@ def build_parser():
 
     p = sub.add_parser("oriental", help="cells of the n-th oriental")
     p.add_argument("n", type=int)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--counts", "--count", dest="counts", action="store_true")
+    shape = p.add_mutually_exclusive_group()
+    shape.add_argument("--dim", type=int, default=None)
+    shape.add_argument("--counts", "--count", dest="counts", action="store_true")
     p.add_argument("--coeff-bound", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_oriental)

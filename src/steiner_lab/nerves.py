@@ -310,6 +310,14 @@ def _code_plan(phi, cap):
     )
 
 
+class _ChainIds(dict):
+    """Chain ids in first-seen order: a missing chain gets the next id."""
+
+    def __missing__(self, chain):
+        i = self[chain] = len(self)
+        return i
+
+
 def nerve(K, cap, coeff_bound=None):
     """The nerve of nu(K): n-simplices are morphisms from the n-simplex chains.
 
@@ -321,7 +329,7 @@ def nerve(K, cap, coeff_bound=None):
     if cap < 0:
         raise ValueError(f"nerve cap must be non-negative, got {cap}")
     zeros = tuple(range(cap + 1))
-    ids = {Chain.zero(p): p for p in zeros}
+    ids = _ChainIds({Chain.zero(p): p for p in zeros})
     codes = {}  # simplex -> code
     coded = {}  # code -> simplex
 
@@ -333,10 +341,13 @@ def nerve(K, cap, coeff_bound=None):
     def level(n):
         morphisms, complete = enumerate_morphisms(c_delta(n), K, coeff_bound=coeff_bound)
         N.complete &= complete
-        tokens = list(itertools.chain.from_iterable(c_delta(n).basis))
+        rows = map(operator.itemgetter(*itertools.chain.from_iterable(c_delta(n).basis)),
+                   (x._images for x in morphisms))
+        if n == 0:  # one token: the getter returns the bare chain
+            rows = ((z,) for z in rows)
         return [
-            register(x, tuple(ids.setdefault(x.image_of(t), len(ids)) for t in tokens) + zeros)
-            for x in morphisms
+            register(x, tuple(map(ids.__getitem__, row)) + zeros)
+            for x, row in zip(morphisms, rows)
         ]
 
     def act(phi, x):

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from .chains import AdcMorphism, Chain
 from .cells import (
     CellTableau,
+    _keep,
+    _resume,
     atom_cell,
     cell_problems,
     compose,
@@ -48,9 +50,15 @@ def cylinder_complex(K):
     return tensor_complex(interval(), K)
 
 
+def is_object_chain(L, c):
+    """Whether c is an object of nu(L): a positive degree-0 chain on L with
+    augmentation 1."""
+    return c.degree == 0 and c.is_positive and L.contains_chain(c) and L.e(c) == 1
+
+
 def constant_morphism(K, L, c):
     """The functor collapsing K to the object chain c of L."""
-    if c.degree != 0 or not L.contains_chain(c) or L.e(c) != 1:
+    if not is_object_chain(L, c):
         raise ValueError("constant value must be an object chain of the target")
     images = {}
     for p in K.degrees():
@@ -465,12 +473,19 @@ def slice_functor(u, v, w, alpha):
 
 
 def enumerate_slice_cells(u, c, dim, coeff_bound=None):
-    """All slice cells of the given dimension, by boundary-constrained search."""
+    """All slice cells of the given dimension, by boundary-constrained search.
+
+    ``c`` must be an object of nu(L), L the target of u.  The returned level
+    is kept like ``enumerate_cells``'s (see ``cells.py``): a next call with
+    the same u (by identity), c and bound and a dim at or above this one
+    starts from it, skipping the 0-cells of u's source as well.
+    """
     if dim < 0:
         raise ValueError(f"slice cell dimension must be non-negative, got {dim}")
     K, L = u.source, u.target
+    if not is_object_chain(L, c):
+        raise ValueError(f"slice object {c} is not an object chain of the target")
     base = object_cell(L, c)
-    complete = True
 
     def coherence_cells(source_cell, target_cell):
         nonlocal complete
@@ -491,17 +506,20 @@ def enumerate_slice_cells(u, c, dim, coeff_bound=None):
             for z in sols.chains
         ]
 
-    objects = enumerate_cells(K, 0, coeff_bound)
-    complete &= objects.complete
-    cells = []
-    for a in objects.cells:
-        for t in coherence_cells(base, map_cell(u, a)):
-            cells.append(SliceCell(u, c, (a,), (a,), (t,), (t,)))
-    for i in range(1, dim + 1):
+    key = ("slice", u, c, coeff_bound)
+    kept = _resume(key, dim)
+    if kept is None:
+        objects = enumerate_cells(K, 0, coeff_bound)
+        start, cells, complete = 0, [], objects.complete
+        for a in objects.cells:
+            for t in coherence_cells(base, map_cell(u, a)):
+                cells.append(SliceCell(u, c, (a,), (a,), (t,), (t,)))
+    else:
+        start, cells, complete = kept
+    for i in range(start + 1, dim + 1):
         grouped = {}
         for z in cells:
-            key = (z.a0[:-1], z.a1[:-1], z.t0[:-1], z.t1[:-1])
-            grouped.setdefault(key, []).append(z)
+            grouped.setdefault((z.a0[:-1], z.a1[:-1], z.t0[:-1], z.t1[:-1]), []).append(z)
         new_cells = []
         for group in grouped.values():
             for S, T in itertools.product(group, repeat=2):
@@ -527,8 +545,8 @@ def enumerate_slice_cells(u, c, dim, coeff_bound=None):
                             )
                         )
         cells = new_cells
-    key = lambda z: tuple(
+    cells = tuple(sorted(cells, key=lambda z: tuple(
         ch.coeffs for cell in z.a0 + z.a1 + z.t0 + z.t1 for ch in cell.x0 + cell.x1
-    )
-    cells.sort(key=key)
-    return tuple(cells), complete
+    )))
+    _keep(key, dim, cells, complete)
+    return cells, complete

@@ -55,7 +55,7 @@ def brute_cells(K, dim, bound):
         (x, y)
         for x in levels[0]
         for y in levels[0]
-        if K.e(x) == 1 and K.e(y) == 1
+        if K.e(x) == 1 and K.e(y) == 1 and (dim or x == y)  # a 0-cell's entries agree
     ]
     stacks = [((x,), (y,)) for x, y in rows]
     for p in range(1, dim + 1):

@@ -3,11 +3,16 @@
 A ``functools.lru_cache`` or ``functools.cache`` decorator in ``src/`` must
 pass ``maxsize`` as an integer literal or as a module-level integer
 constant, so a long-lived process holds bounded memory.  No cache is
-exempt.
+exempt.  The cell enumerators keep one level, the last they returned.
 """
 
 import ast
+import gc
 import pathlib
+import weakref
+
+from steiner_lab import c_delta, enumerate_cells
+from steiner_lab.serialize import complex_from_json, complex_to_json
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "steiner_lab"
@@ -60,3 +65,13 @@ def test_every_cache_has_a_finite_maxsize():
                 if bound is None:
                     unbounded.add(node.name)
     assert not unbounded, f"caches without a finite maxsize: {sorted(unbounded)}"
+
+
+def test_the_kept_level_is_freed_by_the_next_enumeration():
+    A = complex_from_json(complex_to_json(c_delta(2)))
+    cell = weakref.ref(enumerate_cells(A, 1).cells[0])
+    gc.collect()
+    assert cell() is not None  # A's level is kept
+    enumerate_cells(c_delta(1), 1)
+    gc.collect()
+    assert cell() is None

@@ -137,7 +137,7 @@ def test_point_has_one_cell_in_every_dimension():
         assert len(enumerate_cells(K, i).cells) == 1
 
 
-@pytest.mark.parametrize("n,dim", [(1, 1), (1, 2), (2, 1), (2, 2)])
+@pytest.mark.parametrize("n,dim", [(2, 0), (1, 1), (1, 2), (2, 1), (2, 2)])
 def test_enumeration_matches_brute_force(n, dim):
     K = c_delta(n)
     ours = enumerate_cells(K, dim)

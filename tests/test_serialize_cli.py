@@ -82,6 +82,13 @@ def test_cli_oriental_counts(capsys):
     assert capsys.readouterr().out.strip() == "dim0:3 dim1(nondeg):4 dim2(nondeg):1"
 
 
+def test_cli_oriental_counts_and_dim_are_exclusive(capsys):
+    assert run(["oriental", "2", "--counts", "--dim", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --dim: not allowed with argument --counts" in captured.err
+
+
 def test_cli_oriental_is_deterministic(capsys):
     run(["oriental", "2", "--dim", "1"])
     first = capsys.readouterr().out

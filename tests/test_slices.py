@@ -392,6 +392,17 @@ def test_interval_fold_is_forced():
     assert complete and candidates == [fold]
 
 
+@pytest.mark.parametrize("c", [
+    Chain.unit(0, "zz"),  # not a token of the target
+    Chain.make(0, {"0": 2}),  # augmentation 2
+    Chain.unit(1, "0,1"),  # degree 1
+    Chain.make(0, {"0": 2, "1": -1}),  # augmentation 1, not positive
+], ids=["unknown token", "augmentation two", "degree one", "not positive"])
+def test_slice_enumeration_rejects_a_non_object(c):
+    with pytest.raises(ValueError, match="not an object chain"):
+        enumerate_slice_cells(identity_morphism(c_delta(2)), c, 1)
+
+
 # -- the induced functor on slices --------------------------------------------------
 
 def test_slice_functor_specialization():
