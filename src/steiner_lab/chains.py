@@ -8,11 +8,18 @@ makes positivity of a chain a coefficientwise check.
 All values are immutable after construction and safe to share between
 threads.  Chains are kept in canonical form (no zero coefficients, keys
 sorted by token), so equality and hashing are syntactic.
+
+Morphisms are positional.  A complex numbers its basis tokens in basis
+order (``index``) and keeps ``row``, its basis chains followed by the zero
+chains of each degree.  A morphism stores its images as one tuple in its
+source's basis order, and derives once a plan placing each image in the
+target's row, with the images of several terms listed apart.  Composition
+is then a gather of the left factor's images through the right factor's
+plan, plus one accumulation per listed image.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -26,6 +33,7 @@ class BasisElement:
 
 
 _new = tuple.__new__
+_set = object.__setattr__
 _tuple_eq = tuple.__eq__
 _tuple_ne = tuple.__ne__
 
@@ -157,7 +165,8 @@ def pos_neg_decompose(x):
 class DirComplex:
     """A basis-presented augmented directed complex.
 
-    ``basis`` lists tokens per degree, ``diff`` maps degree>=1 tokens to
+    ``basis`` lists tokens per degree (``index`` numbers them in that
+    order, degree by degree), ``diff`` maps degree>=1 tokens to
     chains one degree down (missing entries mean zero), ``aug`` maps
     degree-0 tokens to integers (missing entries mean zero).
 
@@ -167,7 +176,9 @@ class DirComplex:
     broken tables can be built and reported on.
     """
 
-    __slots__ = ("basis", "_diff", "_aug", "_degree_of", "_hash", "_strong_cache")
+    __slots__ = (
+        "basis", "_diff", "_aug", "_degree_of", "index", "_row", "_hash", "_strong_cache"
+    )
 
     def __init__(self, basis, diff, aug):
         basis = tuple(tuple(level) for level in basis)
@@ -208,6 +219,8 @@ class DirComplex:
         self_set("_diff", diff_table)
         self_set("_aug", aug_table)
         self_set("_degree_of", degree_of)
+        self_set("index", {token: i for i, token in enumerate(degree_of)})
+        self_set("_row", None)
         self_set("_hash", None)
         self_set("_strong_cache", {})
 
@@ -230,6 +243,19 @@ class DirComplex:
 
     def degree_of(self, token):
         return self._degree_of[token]
+
+    def graded(self):
+        """(token, degree) of every basis token, in basis order."""
+        return self._degree_of.items()
+
+    @property
+    def row(self):
+        """The basis chains in basis order, then the zero chains of degrees
+        0..31: a zero of degree p sits at ``len(basis tokens) + p``."""
+        if self._row is None:
+            units = (Chain.unit(p, t) for t, p in self.graded())
+            super().__setattr__("_row", tuple(units) + _ZEROS)
+        return self._row
 
     def contains_chain(self, chain):
         return all(self._degree_of.get(t) == chain.degree for t in chain.support())
@@ -317,54 +343,97 @@ def validate_complex(K):
     return ValidationReport(tuple(problems))
 
 
+def _gather(positions):
+    """A function reading ``positions`` out of a sequence into a tuple, of
+    any length (a bare ``itemgetter`` of one position returns the item)."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda row: (row[i],)
+    return itemgetter(*positions) if positions else lambda row: ()
+
+
+def _plan(positions, multi=()):
+    """A plan: its gather, its positions, and its entries of several terms."""
+    return _gather(positions), positions, multi
+
+
 class AdcMorphism:
     """Degreewise assignment of target chains to source basis tokens.
 
-    The constructor trusts its arguments and stores ``images`` as given: a
-    dict from every source token to a chain of that token's degree supported
-    on the target.  Maps built from already-valid parts are built with it
-    directly.  :func:`check_morphism` reports shape, chain-map, augmentation
-    and positivity problems, and the JSON reader rejects shape problems.
+    ``images`` is one tuple: the image of each source token in the source's
+    basis order, a chain of that token's degree supported on the target.
+    The constructor trusts its arguments and stores them; a dict from tokens
+    to images is first put in basis order by :func:`images_in_basis_order`.
+    :func:`check_morphism` reports shape, chain-map, augmentation and
+    positivity problems, and the JSON reader rejects shape problems.
+
+    ``plan``, derived once from the images, places each image in the
+    target's ``row``: a basis chain at its position, the zero of degree p
+    at ``len(target) + p``.  Any other image, of several terms or another
+    coefficient, is listed apart as ``(i, degree, terms)``, its terms as
+    (position, coefficient) pairs.  ``f.after(g)`` gathers f's images
+    through g's plan, then sums each listed image of g once.
     """
 
-    __slots__ = ("source", "target", "_images", "_hash")
+    __slots__ = ("source", "target", "images", "_plan", "_hash")
 
-    def __init__(self, source, target, images):
-        super().__setattr__("source", source)
-        super().__setattr__("target", target)
-        super().__setattr__("_images", images)
-        super().__setattr__("_hash", None)
+    def __init__(self, source, target, images, plan=None):
+        if images.__class__ is not tuple:
+            images = images_in_basis_order(source, images)
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "images", images)
+        _set(self, "_plan", plan)
+        _set(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AdcMorphism is immutable")
 
+    @property
+    def plan(self):
+        """(gather, positions, entries of several terms), built once."""
+        if self._plan is None:
+            index = self.target.index
+            end = len(index)
+            positions, multi = [], []
+            for i, chain in enumerate(self.images):
+                p, items = chain
+                if not items and p < len(_ZEROS):
+                    positions.append(end + p)
+                elif len(items) == 1 and items[0][1] == 1:
+                    positions.append(index[items[0][0]])
+                else:  # a placeholder, replaced by the sum
+                    positions.append(end)
+                    multi.append((i, p, tuple((index[t], c) for t, c in items)))
+            _set(self, "_plan", _plan(tuple(positions), tuple(multi)))
+        return self._plan
+
     def image_of(self, token):
-        return self._images[token]
+        return self.images[self.source.index[token]]
 
     def apply(self, chain):
         items = chain[1]
         if not items:
             return chain
+        images, index = self.images, self.source.index
         if len(items) == 1 and items[0][1] == 1:
-            return self._images[items[0][0]]
-        images = self._images
-        return _combine(chain[0], [(c, images[t][1]) for t, c in items])
+            return images[index[items[0][0]]]
+        return _combine(chain[0], [(c, images[index[t]][1]) for t, c in items])
 
     def after(self, other):
-        """Composite self . other (apply ``other`` first), one accumulation
-        per image that is neither zero nor a unit."""
+        """Composite self . other (apply ``other`` first): a gather of
+        self's images through other's plan, then one accumulation per image
+        of other with several terms."""
         if other.target != self.source:
             raise ValueError("composition mismatch")
-        mine = self._images
-        images = {}
-        for t, chain in other._images.items():
-            items = chain[1]
-            if not items:
-                images[t] = chain
-            elif len(items) == 1 and items[0][1] == 1:
-                images[t] = mine[items[0][0]]
-            else:
-                images[t] = _combine(chain[0], [(c, mine[s][1]) for s, c in items])
+        gather, _, multi = other.plan
+        row = self.images + _ZEROS
+        images = gather(row)
+        if multi:
+            images = list(images)
+            for i, p, terms in multi:
+                images[i] = _combine(p, [(c, row[s][1]) for s, c in terms])
+            images = tuple(images)
         return AdcMorphism(other.source, self.target, images)
 
     def __eq__(self, other):
@@ -374,44 +443,43 @@ class AdcMorphism:
             isinstance(other, AdcMorphism)
             and self.source == other.source
             and self.target == other.target
-            and self._images == other._images
+            and self.images == other.images
         )
 
     def __hash__(self):
-        """Hashes the images in the source's basis order; a missing one as None."""
         if self._hash is None:
-            images = tuple(map(self._images.get, itertools.chain.from_iterable(self.source.basis)))
-            super().__setattr__("_hash", hash((self.source, self.target, images)))
+            _set(self, "_hash", hash((self.source, self.target, self.images)))
         return self._hash
 
     def __repr__(self):
         return f"AdcMorphism({self.source!r} -> {self.target!r})"
 
 
+def images_in_basis_order(source, images):
+    """The images of a dict from source tokens to chains, as a tuple in the
+    source's basis order; a token without an image reads None.  A token
+    outside the source is refused."""
+    extra = images.keys() - source.index.keys()
+    if extra:
+        raise ValueError(f"images for unknown tokens: {sorted(extra)}")
+    return tuple(map(images.get, source.index))
+
+
 def identity_morphism(K):
-    return AdcMorphism(K, K, {t: K.unit_chain(t) for t in _all_tokens(K)})
-
-
-def _all_tokens(K):
-    return [t for p in K.degrees() for t in K.tokens(p)]
+    return AdcMorphism(K, K, K.row[:len(K.index)])
 
 
 def morphism_shape_problems(f):
     """Problems with the shape of f: every source token needs an image of its
-    degree supported on the target, and no image may name another token."""
+    degree supported on the target."""
     problems = []
-    for p in f.source.degrees():
-        for token in f.source.tokens(p):
-            chain = f._images.get(token)
-            if chain is None:
-                problems.append(f"no image for basis token {token!r}")
-            elif chain.degree != p:
-                problems.append(f"image of {token!r} has degree {chain.degree}, expected {p}")
-            elif not f.target.contains_chain(chain):
-                problems.append(f"image of {token!r} leaves the target complex")
-    extra = set(f._images) - set(_all_tokens(f.source))
-    if extra:
-        problems.append(f"images for unknown tokens: {sorted(extra)}")
+    for (token, p), chain in zip(f.source.graded(), f.images):
+        if chain is None:
+            problems.append(f"no image for basis token {token!r}")
+        elif chain.degree != p:
+            problems.append(f"image of {token!r} has degree {chain.degree}, expected {p}")
+        elif not f.target.contains_chain(chain):
+            problems.append(f"image of {token!r} leaves the target complex")
     return problems
 
 
@@ -422,24 +490,22 @@ def check_morphism(f):
     if problems:
         return ValidationReport(tuple(problems))
     K, L = f.source, f.target
-    for p in K.degrees():
-        for token in K.tokens(p):
-            image = f.image_of(token)
-            if not image.is_positive:
-                problems.append(f"image of {token} is not positive: {image}")
-            if p == 0:
-                if L.e(image) != K.aug_of(token):
-                    problems.append(
-                        f"augmentation broken at {token}: "
-                        f"e(f({token})) = {L.e(image)} != {K.aug_of(token)}"
-                    )
-            else:
-                lhs = f.apply(K.diff_of(token))
-                rhs = L.d(image)
-                if lhs != rhs:
-                    problems.append(
-                        f"d-compatibility broken at {token}: f(d) = {lhs}, d(f) = {rhs}"
-                    )
+    for (token, p), image in zip(K.graded(), f.images):
+        if not image.is_positive:
+            problems.append(f"image of {token} is not positive: {image}")
+        if p == 0:
+            if L.e(image) != K.aug_of(token):
+                problems.append(
+                    f"augmentation broken at {token}: "
+                    f"e(f({token})) = {L.e(image)} != {K.aug_of(token)}"
+                )
+        else:
+            lhs = f.apply(K.diff_of(token))
+            rhs = L.d(image)
+            if lhs != rhs:
+                problems.append(
+                    f"d-compatibility broken at {token}: f(d) = {lhs}, d(f) = {rhs}"
+                )
     return ValidationReport(tuple(problems))
 
 
@@ -558,7 +624,7 @@ def strong_loopfree_order(K):
     """
     cache = K._strong_cache
     if "order" not in cache:
-        order, unique = _toposort(_all_tokens(K), _strong_edges(K))
+        order, unique = _toposort(list(K.index), _strong_edges(K))
         cache["order"] = None if order is None else tuple(
             BasisElement(t, K.degree_of(t)) for t in order
         )

@@ -13,24 +13,23 @@ of its faces, solves each generator once per distinct tuple of those.
 
 A nerve simplex x of dimension n is acted on by phi: Delta(m) -> Delta(n)
 through precomposition, ``x.after(c_of_map(phi))``.  A nerve also gives
-each simplex of its levels an int code: the ids of its image chains in
-cDelta(n)'s token order, then those of the zero chains, with ids kept per
-nerve.  Since c(phi) sends each simplex to a basis chain or to 0, the code
-of x.after(c(phi)) is a gather of x's code, ``_code_plan(phi, cap)``, and
-is looked up among the coded simplices, so a hit builds, hashes and
-compares no morphism.  Any other value, an operator past the cap or of
-another dimension, and a code not seen yet are composed; a new result from
-a coded simplex is coded then.
+each simplex of its levels an int code: the ids of its ``images``, then
+those of the zero chains, with ids kept per nerve, so the zero of degree p
+sits where it does in cDelta(n)'s ``row``.  Since c(phi) sends each
+simplex to a basis chain or to 0, the code of x.after(c(phi)) is a gather
+of x's code through c(phi)'s plan, followed by the zero ids, and is looked
+up among the coded simplices, so a hit builds, hashes and compares no
+morphism.  Any other value, an operator past the cap or of another
+dimension, and a code not seen yet are composed; a new result from a coded
+simplex is coded then.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .chains import AdcMorphism, Chain, _combine
+from .chains import AdcMorphism, Chain, _combine, _gather
 from .simplex import (
     MonotoneMap,
     all_monotone_maps,
@@ -44,11 +43,6 @@ from .simplex import (
     join_maps,
 )
 from .solve import solve_augmentation, solve_boundary
-
-# Distinct (phi, cap) whose gathers are kept; a nerve of cap 5 acts through
-# at most 1,709 maps phi.
-CODE_PLAN_CACHE_SIZE = 4096
-
 
 def _through(through, cap):
     """The last level a check runs through: ``through``, or ``cap`` if None.
@@ -280,34 +274,14 @@ def enumerate_morphisms(src, dst, fixed=None, coeff_bound=None):
         partials = grown
     if order:
         partials.sort(key=operator.itemgetter(*[position[t] for t in sorted(order)]))
-    morphisms = [AdcMorphism(src, dst, dict(zip(order, images))) for images in partials]
-    return morphisms, complete
+    in_basis_order = _gather([position[t] for t in src.index])
+    return [AdcMorphism(src, dst, in_basis_order(images)) for images in partials], complete
 
 
 def hom_enumerate(n, K, coeff_bound=None):
     """All morphisms from the chains of the n-simplex into K."""
     morphisms, _ = enumerate_morphisms(c_delta(n), K, coeff_bound=coeff_bound)
     return morphisms
-
-
-@lru_cache(maxsize=CODE_PLAN_CACHE_SIZE)
-def _code_plan(phi, cap):
-    """The gather from the code of a phi.dst-simplex, in a nerve of cap
-    ``cap``, to the code of its image: for each token of cDelta(phi.src),
-    the position of the token of its image under c(phi), or of the zero of
-    its degree p (end + p) where that image is 0; then the zero ids.  An
-    ``itemgetter`` gathers in C and builds the code at its final size."""
-    tokens = itertools.chain.from_iterable(c_delta(phi.dst).basis)
-    position = {token: i for i, token in enumerate(tokens)}
-    end = len(position)
-    c = c_of_map(phi)
-    return operator.itemgetter(
-        *(
-            position[image.coeffs[0][0]] if image.coeffs else end + image.degree
-            for image in map(c.image_of, itertools.chain.from_iterable(c.source.basis))
-        ),
-        *range(end, end + cap + 1),
-    )
 
 
 class _ChainIds(dict):
@@ -341,20 +315,13 @@ def nerve(K, cap, coeff_bound=None):
     def level(n):
         morphisms, complete = enumerate_morphisms(c_delta(n), K, coeff_bound=coeff_bound)
         N.complete &= complete
-        rows = map(operator.itemgetter(*itertools.chain.from_iterable(c_delta(n).basis)),
-                   (x._images for x in morphisms))
-        if n == 0:  # one token: the getter returns the bare chain
-            rows = ((z,) for z in rows)
-        return [
-            register(x, tuple(map(ids.__getitem__, row)) + zeros)
-            for x, row in zip(morphisms, rows)
-        ]
+        return [register(x, tuple(map(ids.__getitem__, x.images)) + zeros) for x in morphisms]
 
     def act(phi, x):
         code = codes.get(x)
         if code is None or phi.src > cap or x.source != c_delta(phi.dst):
             return x.after(c_of_map(phi))
-        key = _code_plan(phi, cap)(code)
+        key = c_of_map(phi).plan[0](code) + zeros
         y = coded.get(key)
         return register(x.after(c_of_map(phi)), key) if y is None else y
 

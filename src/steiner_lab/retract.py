@@ -174,14 +174,13 @@ def wedge_projection(m, n):
 def wedge_inclusion(m, n):
     """The wedge as a subcomplex of the ambient simplex."""
     P = wedge_pushout(m, n)
-    dst = c_delta(m + 1 + n)
-    images = {}
-    for p in P.complex.degrees():
-        for token in P.complex.tokens(p):
-            side, _, orig = token.partition(":")
-            tup = token_simplex(orig)
-            images[token] = simplex_chain(tup if side == "K" else _shift(tup, m))
-    return AdcMorphism(P.complex, dst, images)
+
+    def image(token):
+        side, _, orig = token.partition(":")
+        tup = token_simplex(orig)
+        return simplex_chain(tup if side == "K" else _shift(tup, m))
+
+    return AdcMorphism(P.complex, c_delta(m + 1 + n), tuple(map(image, P.complex.index)))
 
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)
@@ -347,10 +346,9 @@ class SuiteReport:
 
 
 def _first_difference(f, g):
-    for p in f.source.degrees():
-        for token in f.source.tokens(p):
-            if f.image_of(token) != g.image_of(token):
-                return f"at {token}: {f.image_of(token)} vs {g.image_of(token)}"
+    for (token, _), x, y in zip(f.source.graded(), f.images, g.images):
+        if x != y:
+            return f"at {token}: {x} vs {y}"
     if f.source != g.source or f.target != g.target:
         return "different endpoints"
     return ""

@@ -8,9 +8,11 @@ coproduct, so no object-level construction is needed.
 A simplicial operator phi: Delta(m) -> Delta(n) acts on a map f out of
 cDelta(n) by precomposition, ``f.after(c_of_map(phi))``.  ``c_of_map(phi)``
 sends each simplex t to the basis chain of phi(t), or to 0 where phi
-repeats a value on t; the basis chains are cDelta(n)'s own, shared by every
-map into it, and at most ``C_OF_MAP_CACHE_SIZE`` maps are kept.  Maps built
-here from already-valid values skip ``MonotoneMap``'s checks.
+repeats a value on t.  Its plan is read off the values of phi, through a
+table from strictly increasing tuples to basis positions, and its images
+are the gather of cDelta(n)'s ``row`` through that plan, so the chains are
+shared by every map into it.  At most ``C_OF_MAP_CACHE_SIZE`` maps are kept.
+Maps built here from already-valid values skip ``MonotoneMap``'s checks.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chains import AdcMorphism, Chain, DirComplex
+from .chains import AdcMorphism, Chain, DirComplex, _plan
 
 # Distinct monotone maps kept by c_of_map; verify_suite(3, 3) asks for 10,732.
 C_OF_MAP_CACHE_SIZE = 16384
@@ -64,7 +66,7 @@ class MonotoneMap:
 
 
 def identity_map(n):
-    return MonotoneMap(n, n, tuple(range(n + 1)))
+    return MonotoneMap._trusted(n, n, tuple(range(n + 1)))
 
 
 def constant_map(m, n, value):
@@ -105,12 +107,12 @@ def join_maps(phi, psi):
 
 def initial_inclusion(m, n):
     """i_{m,n}: Delta(m) -> Delta(m+1+n) onto the first block."""
-    return MonotoneMap(m, m + 1 + n, tuple(range(m + 1)))
+    return MonotoneMap._trusted(m, m + 1 + n, tuple(range(m + 1)))
 
 
 def final_inclusion(m, n):
     """j_{m,n}: Delta(n) -> Delta(m+1+n) onto the second block."""
-    return MonotoneMap(n, m + 1 + n, tuple(m + 1 + l for l in range(n + 1)))
+    return MonotoneMap._trusted(n, m + 1 + n, tuple(range(m + 1, m + 2 + n)))
 
 
 def simplex_token(tup):
@@ -153,32 +155,28 @@ def simplex_chain(tup):
 
 
 @lru_cache(maxsize=32)
-def _basis_chains(n):
-    """cDelta(n)'s basis chains, keyed by their strictly increasing tuples,
-    in the order of its basis."""
-    K = c_delta(n)
-    return {
-        tup: Chain.unit(p, token)
-        for p in K.degrees()
-        for token, tup in zip(K.tokens(p), itertools.combinations(range(n + 1), p + 1))
-    }
+def _positions(n):
+    """cDelta(n)'s basis positions, keyed by their strictly increasing tuples."""
+    tuples = (t for p in range(n + 1) for t in itertools.combinations(range(n + 1), p + 1))
+    return {tup: i for i, tup in enumerate(tuples)}
 
 
 def simplex_morphism(n, target, image):
     """The map out of cDelta(n) sending each simplex, given as a strictly
     increasing tuple, to the chain ``image(tup)`` of ``target``."""
-    return AdcMorphism(c_delta(n), target, {
-        chain.coeffs[0][0]: image(tup) for tup, chain in _basis_chains(n).items()
-    })
+    return AdcMorphism(c_delta(n), target, tuple(map(image, _positions(n))))
 
 
 @lru_cache(maxsize=C_OF_MAP_CACHE_SIZE)
 def c_of_map(phi):
-    """The chain-level morphism of a monotone map; repeated values collapse a simplex to 0."""
-    source, chains = c_delta(phi.src), _basis_chains(phi.dst)
-    images = {}
-    for p in source.degrees():
-        zero = Chain.zero(p)
-        for token, values in zip(source.tokens(p), itertools.combinations(phi.image, p + 1)):
-            images[token] = chains.get(values, zero)
-    return AdcMorphism(source, c_delta(phi.dst), images)
+    """The chain-level morphism of a monotone map; repeated values collapse a simplex to 0.
+
+    Its plan is read off the values: the position of phi(t) in cDelta(phi.dst),
+    or, where phi repeats a value on t, that of the zero of t's degree."""
+    get, end = _positions(phi.dst).get, len(_positions(phi.dst))
+    plan = _plan(tuple(itertools.chain.from_iterable(
+        map(get, itertools.combinations(phi.image, p + 1), itertools.repeat(end + p))
+        for p in range(phi.src + 1)
+    )))
+    target = c_delta(phi.dst)
+    return AdcMorphism(c_delta(phi.src), target, plan[0](target.row), plan)

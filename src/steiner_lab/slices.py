@@ -60,14 +60,9 @@ def constant_morphism(K, L, c):
     """The functor collapsing K to the object chain c of L."""
     if not is_object_chain(L, c):
         raise ValueError("constant value must be an object chain of the target")
-    images = {}
-    for p in K.degrees():
-        for t in K.tokens(p):
-            if p == 0:
-                images[t] = K.aug_of(t) * c
-            else:
-                images[t] = Chain.zero(p)
-    return AdcMorphism(K, L, images)
+    return AdcMorphism(K, L, tuple(
+        K.aug_of(t) * c if p == 0 else Chain.zero(p) for t, p in K.graded()
+    ))
 
 
 @dataclass(frozen=True)
@@ -85,18 +80,12 @@ class OplaxTransformation:
         prefixes = tuple(
             tensor_token(end, "") for end in (INTERVAL_SRC, INTERVAL_TGT, INTERVAL_EDGE)
         )
-        for p in src.degrees():
-            for token in src.tokens(p):
-                if not token.startswith(prefixes):
-                    raise ValueError("h is not defined on a cylinder complex")
+        if not all(token.startswith(prefixes) for token in src.index):
+            raise ValueError("h is not defined on a cylinder complex")
 
     def end_functor(self, end, K):
-        images = {
-            b: self.h.image_of(tensor_token(end, b))
-            for p in K.degrees()
-            for b in K.tokens(p)
-        }
-        return AdcMorphism(K, self.h.target, images)
+        image_of = self.h.image_of
+        return AdcMorphism(K, self.h.target, tuple(image_of(tensor_token(end, b)) for b in K.index))
 
     def source_functor(self, K):
         return self.end_functor(INTERVAL_SRC, K)
@@ -180,15 +169,12 @@ def vertical_compose(beta, alpha, K=None):
     src = alpha.h.source
     if beta.h.source != src or beta.h.target != alpha.h.target:
         raise ValueError("transformations are not stacked over the same complexes")
-    images = {}
-    for p in src.degrees():
-        for token in src.tokens(p):
-            if token.startswith(tensor_token(INTERVAL_SRC, "")):
-                images[token] = alpha.h.image_of(token)
-            elif token.startswith(tensor_token(INTERVAL_TGT, "")):
-                images[token] = beta.h.image_of(token)
-            else:
-                images[token] = beta.h.image_of(token) + alpha.h.image_of(token)
+    images = tuple(
+        a if token.startswith(tensor_token(INTERVAL_SRC, ""))
+        else b if token.startswith(tensor_token(INTERVAL_TGT, ""))
+        else b + a
+        for token, a, b in zip(src.index, alpha.h.images, beta.h.images)
+    )
     return OplaxTransformation(AdcMorphism(src, alpha.h.target, images))
 
 

@@ -2,7 +2,9 @@
 
 Tensor basis tokens are written "a(x)b"; pushout tokens are namespaced
 "K:" / "L:", with base tokens identified to their left-leg image so the
-amalgamated basis is deterministic.
+amalgamated basis is deterministic.  A pushout fixes, when it is built, the
+positions its co-pairing gathers from the images of the two legs, so
+``induced`` builds no dict and looks up no token.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from .chains import (
     AdcMorphism,
     Chain,
     DirComplex,
+    _gather,
     strong_preorder_is_total,
 )
 
@@ -71,13 +74,11 @@ def tensor_morphism(f, g):
     """Functoriality of the tensor: (f(x)g)(a(x)b) = f(a)(x)g(b), bilinearly."""
     src = tensor_complex(f.source, g.source)
     dst = tensor_complex(f.target, g.target)
-    images = {}
-    for p in f.source.degrees():
-        for a in f.source.tokens(p):
-            fa = f.image_of(a)
-            for q in g.source.degrees():
-                for b in g.source.tokens(q):
-                    images[tensor_token(a, b)] = tensor_chains(fa, g.image_of(b))
+    images = {
+        tensor_token(a, b): tensor_chains(fa, gb)
+        for a, fa in zip(f.source.index, f.images)
+        for b, gb in zip(g.source.index, g.images)
+    }
     return AdcMorphism(src, dst, images)
 
 
@@ -85,38 +86,27 @@ def left_unitor(K):
     """The isomorphism cDelta(0) (x) K -> K."""
     from .simplex import c_delta
 
-    point = c_delta(0)
-    T = tensor_complex(point, K)
-    images = {}
-    for p in K.degrees():
-        for b in K.tokens(p):
-            images[tensor_token("0", b)] = K.unit_chain(b)
-    return AdcMorphism(T, K, images)
+    return AdcMorphism(tensor_complex(c_delta(0), K), K, K.row[:len(K.index)])
 
 
 def tensor_injection(K, L, end_token):
     """The inclusion L -> K (x) L at a degree-0 basis token of K."""
     T = tensor_complex(K, L)
-    images = {
-        b: Chain.unit(p, tensor_token(end_token, b))
-        for p in L.degrees()
-        for b in L.tokens(p)
-    }
-    return AdcMorphism(L, T, images)
+    return AdcMorphism(L, T, tuple(
+        Chain.unit(p, tensor_token(end_token, b)) for b, p in L.graded()
+    ))
 
 
 def rigid_mono_check(f):
     """True iff f is injective and sends basis elements to basis elements."""
     seen = set()
-    for p in f.source.degrees():
-        for token in f.source.tokens(p):
-            image = f.image_of(token)
-            if len(image.items()) != 1 or image.items()[0][1] != 1:
-                return False
-            target_token = image.items()[0][0]
-            if target_token in seen:
-                return False
-            seen.add(target_token)
+    for image in f.images:
+        if len(image.items()) != 1 or image.items()[0][1] != 1:
+            return False
+        target_token = image.items()[0][0]
+        if target_token in seen:
+            return False
+        seen.add(target_token)
     return True
 
 
@@ -129,9 +119,10 @@ class Pushout:
     """Amalgamated sum of complexes along rigid inclusions of a common base.
 
     ``left``/``right`` are the canonical injections; ``induced(u, v)`` is the
-    co-pairing with a pair of morphisms agreeing on the base.  It reads
-    ``plan``, the (token, side: 0 for K and 1 for L, token of that side) of
-    each pushout token, and ``glue``, the leg images of each base token.
+    co-pairing with a pair of morphisms agreeing on the base.  ``plan``
+    gathers the images of each pushout token, in its basis order, from u's
+    images followed by v's; ``glue`` gathers the images of the base's
+    generators from u's and from v's.
     """
 
     base: DirComplex
@@ -140,7 +131,7 @@ class Pushout:
     right: AdcMorphism
     left_leg: AdcMorphism
     right_leg: AdcMorphism
-    plan: tuple = field(compare=False, repr=False)
+    plan: object = field(compare=False, repr=False)
     glue: tuple = field(compare=False, repr=False)
 
     def induced(self, u, v):
@@ -148,13 +139,10 @@ class Pushout:
             raise ValueError("co-pairing legs have wrong sources")
         if u.target != v.target:
             raise ValueError("co-pairing legs have different targets")
-        legs = (u._images, v._images)
-        # the legs are rigid, so u . left_leg = v . right_leg token by token
-        if any(legs[0][a] != legs[1][b] for a, b in self.glue):
+        # the legs are rigid, so u . left_leg = v . right_leg generator by generator
+        if self.glue[0](u.images) != self.glue[1](v.images):
             raise ValueError("co-pairing legs disagree on the base")
-        return AdcMorphism(self.complex, u.target, {
-            token: legs[side][orig] for token, side, orig in self.plan
-        })
+        return AdcMorphism(self.complex, u.target, self.plan(u.images + v.images))
 
 
 def pushout_complex(f, g):
@@ -176,37 +164,33 @@ def pushout_complex(f, g):
             "the precedence order of the base complex is not total"
         )
 
-    glue = tuple(
-        (f.image_of(m).items()[0][0], g.image_of(m).items()[0][0])
-        for p in M.degrees()
-        for m in M.tokens(p)
-    )
-    glued = {b: "K:" + a for a, b in glue}
+    glued = {y.coeffs[0][0]: "K:" + x.coeffs[0][0] for x, y in zip(f.images, g.images)}
     sides = ((K, lambda t: "K:" + t), (L, lambda t: glued.get(t, "L:" + t)))
 
     dim = max(K.dim, L.dim)
     basis = [[] for _ in range(dim + 1)]
-    plans = [[] for _ in range(dim + 1)]
+    sources = [[] for _ in range(dim + 1)]
     diff = {}
     aug = {}
     for side, (X, name_of) in enumerate(sides):
-        for p in X.degrees():
-            for token in X.tokens(p):
-                if side and token in glued:
-                    continue
-                name = name_of(token)
-                basis[p].append(name)
-                plans[p].append((name, side, token))
-                if p == 0:
-                    aug[name] = X.aug_of(token)
-                else:
-                    diff[name] = Chain.make(
-                        p - 1, [(name_of(t), c) for t, c in X.diff_of(token).items()]
-                    )
+        offset = side * len(K.index)
+        for token, p in X.graded():
+            if side and token in glued:
+                continue
+            name = name_of(token)
+            basis[p].append(name)
+            sources[p].append(offset + X.index[token])
+            if p == 0:
+                aug[name] = X.aug_of(token)
+            else:
+                diff[name] = Chain.make(
+                    p - 1, [(name_of(t), c) for t, c in X.diff_of(token).items()]
+                )
     P = DirComplex(basis, diff, aug)
     left, right = (
-        AdcMorphism(X, P, {t: Chain.unit(p, name_of(t)) for p in X.degrees() for t in X.tokens(p)})
+        AdcMorphism(X, P, _gather([P.index[name_of(t)] for t in X.index])(P.row))
         for X, name_of in sides
     )
-    plan = tuple(entry for level in plans for entry in level)
+    plan = _gather([i for level in sources for i in level])
+    glue = tuple(_gather(leg.plan[1]) for leg in (f, g))
     return Pushout(M, P, left, right, f, g, plan, glue)

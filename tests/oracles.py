@@ -145,8 +145,9 @@ def apply_by_make(f, x):
 
 
 def composite_by_make(f, g):
-    """The images of f . g, each summed from its raw terms by ``Chain.make``."""
-    return {t: apply_by_make(f, x) for t, x in g._images.items()}
+    """The images of f . g in g's source basis order, each summed from its
+    raw terms by ``Chain.make``."""
+    return tuple(apply_by_make(f, x) for x in g.images)
 
 
 def sum_by_make(x, y, sign):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import time
 
@@ -455,7 +456,8 @@ def test_enumeration_calls_the_solver_once_per_tuple_of_face_images(monkeypatch)
 def _in_token_order(morphisms):
     """Morphisms sorted by their images, read in source token order."""
     return sorted(
-        morphisms, key=lambda f: [f.image_of(t).coeffs for t in sorted(f._images)]
+        morphisms,
+        key=lambda f: [f.image_of(t).coeffs for t in sorted(itertools.chain(*f.source.basis))],
     )
 
 

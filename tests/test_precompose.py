@@ -42,7 +42,7 @@ def test_precompose_and_c_of_map_match_the_oracle():
         c = oracle_c(phi)
         assert c_of_map(phi) == c
         f = labelled(c_delta(phi.dst), c_delta(4))
-        assert f.after(c_of_map(phi))._images == composite_by_make(f, c)
+        assert f.after(c_of_map(phi)).images == composite_by_make(f, c)
         collapsing += len(set(phi.image)) < len(phi.image)
     assert collapsing > 0
 
@@ -71,7 +71,7 @@ def test_cylinder_gather_matches_tensor_composite():
                                 )
                                 assert cylinder.image_of(tensor_token(a, t)) == want
                 for g in (P.right, f):
-                    assert g.after(cylinder)._images == composite_by_make(g, cylinder)
+                    assert g.after(cylinder).images == composite_by_make(g, cylinder)
                 checked += 1
     assert checked == 121
 
