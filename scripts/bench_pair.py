@@ -2,18 +2,17 @@
 """Before/after benchmark pairs: this checkout against a parent revision.
 
 Usage:
-    python3 scripts/bench_pair.py --out .benchmarks/BENCH_<n>.json
-        [--parent REV] [--workloads theorem-a,nerve,census] [--seeds 5]
-        [--seconds 30]
+    python3 scripts/bench_pair.py --out .benchmarks/BENCH_<n>.json [--parent REV]
 
 The parent revision (default HEAD, so uncommitted work is the change) is
 unpacked with ``git archive REV | tar -x`` into a temporary directory; no
-worktree is made and nothing is fetched.  For each workload and seed 1..N,
+worktree is made and nothing is fetched.  The workloads and the run length
+are read from BENCHMARK.json.  For each workload and seed 1..10,
 ``python3 perfbench/run.py --trace 0`` runs once in each tree, the parent
 first on odd seeds and the change first on even ones.  The output holds,
 per workload and end-to-end metric, the per-seed medians of both sides
-and the median over the seeds.  The exit status is 1 if any run is not
-``correct``.
+and the median over the seeds.  A seed on which either side is not
+``correct`` is left out of the pairs and listed; the exit status is then 1.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+SEEDS = 10  # alternating pairs per workload
 
 
 def result_line(stdout):
@@ -43,30 +43,30 @@ def assemble(runs):
     """The pair record from ``runs``: (workload, seed, side, result) tuples,
     ``result`` a perfbench result line.  Per workload and metric, both
     sides' samples in seed order and their medians, and the seeds on which
-    the change reads lower."""
-    samples = {}
-    for workload, seed, side, result in sorted(runs, key=lambda r: (r[0], r[1])):
-        for metric, entry in result["metrics"].items():
-            slot = samples.setdefault(workload, {}).setdefault(
-                metric, {"unit": entry["unit"], "seeds": [], "parent": [], "change": []}
-            )
-            if seed not in slot["seeds"]:
-                slot["seeds"].append(seed)
-            slot[side].append(entry["value"])
+    the change reads lower.  Only seeds on which both sides are ``correct``
+    are paired."""
+    by_seed = {}
+    for workload, seed, side, result in runs:
+        by_seed.setdefault((workload, seed), {})[side] = result
     out = {}
-    for workload, metrics in samples.items():
-        out[workload] = {}
-        for metric, slot in metrics.items():
-            parent, change = slot["parent"], slot["change"]
-            out[workload][metric] = {
-                "unit": slot["unit"],
-                "seeds": slot["seeds"],
-                "parent_samples": parent,
-                "change_samples": change,
-                "parent_median": statistics.median(parent),
-                "change_median": statistics.median(change),
-                "change_lower_on": sum(c < p for p, c in zip(parent, change)),
-            }
+    for (workload, seed), sides in sorted(by_seed.items()):
+        if not all(side in sides and sides[side]["correct"] for side in SIDES):
+            continue
+        parent, change = (sides[side]["metrics"] for side in SIDES)
+        for metric, entry in parent.items():
+            slot = out.setdefault(workload, {}).setdefault(
+                metric, {"unit": entry["unit"], "seeds": [], "parent_samples": [],
+                         "change_samples": []}
+            )
+            slot["seeds"].append(seed)
+            slot["parent_samples"].append(entry["value"])
+            slot["change_samples"].append(change[metric]["value"])
+    for metrics in out.values():
+        for slot in metrics.values():
+            parent, change = slot["parent_samples"], slot["change_samples"]
+            slot["parent_median"] = statistics.median(parent)
+            slot["change_median"] = statistics.median(change)
+            slot["change_lower_on"] = sum(c < p for p, c in zip(parent, change))
     return out
 
 
@@ -93,10 +93,9 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--parent", default="HEAD")
-    parser.add_argument("--workloads", default="theorem-a,nerve,census")
-    parser.add_argument("--seeds", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=30)
     args = parser.parse_args()
+    config = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = config["run_seconds"]
 
     parent = commit_of(args.parent)
     runs, bad = [], []
@@ -106,22 +105,21 @@ def main():
         if archive.wait() != 0:
             sys.exit(f"error: git archive {parent} failed")
         trees = {"parent": tmp, "change": ROOT}
-        for workload in args.workloads.split(","):
-            for seed in range(1, args.seeds + 1):
+        for workload in (w["name"] for w in config["workloads"]):
+            for seed in range(1, SEEDS + 1):
                 order = SIDES if seed % 2 else SIDES[::-1]
                 for side in order:
-                    result = run_side(trees[side], workload, seed, args.seconds)
+                    result = run_side(trees[side], workload, seed, seconds)
                     print(f"{workload} seed {seed} {side}: "
                           + json.dumps({k: v["value"] for k, v in result["metrics"].items()}),
                           flush=True)
                     if not result["correct"]:
                         bad.append(f"{workload} seed {seed} {side}: {result.get('error', '')}")
-                        continue
                     runs.append((workload, seed, side, result))
     record = {
         "parent": parent,
         "change": "working tree of " + commit_of("HEAD"),
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}"
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g}"
                    " --trace 0",
         "order": "parent first on odd seeds, change first on even seeds",
         "python": platform.python_version(),

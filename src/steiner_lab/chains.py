@@ -20,6 +20,7 @@ plan, plus one accumulation per listed image.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -352,9 +353,13 @@ def _gather(positions):
     return itemgetter(*positions) if positions else lambda row: ()
 
 
-def _plan(positions, multi=()):
-    """A plan: its gather, its positions, and its entries of several terms."""
-    return _gather(positions), positions, multi
+# A morphism's plan (see AdcMorphism): ``positions`` of its images in the
+# target's row, read by ``gather``, and ``multi``, the entries of several terms.
+Plan = namedtuple("Plan", "gather positions multi")
+
+
+def plan_of(positions, multi=()):
+    return Plan(_gather(positions), positions, multi)
 
 
 class AdcMorphism:
@@ -362,8 +367,9 @@ class AdcMorphism:
 
     ``images`` is one tuple: the image of each source token in the source's
     basis order, a chain of that token's degree supported on the target.
-    The constructor trusts its arguments and stores them; a dict from tokens
-    to images is first put in basis order by :func:`images_in_basis_order`.
+    The constructor trusts its arguments and stores them; a caller holding a
+    dict from tokens to images puts it in basis order with
+    :func:`images_in_basis_order`.
     :func:`check_morphism` reports shape, chain-map, augmentation and
     positivity problems, and the JSON reader rejects shape problems.
 
@@ -378,8 +384,6 @@ class AdcMorphism:
     __slots__ = ("source", "target", "images", "_plan", "_hash")
 
     def __init__(self, source, target, images, plan=None):
-        if images.__class__ is not tuple:
-            images = images_in_basis_order(source, images)
         _set(self, "source", source)
         _set(self, "target", target)
         _set(self, "images", images)
@@ -391,13 +395,11 @@ class AdcMorphism:
 
     @property
     def plan(self):
-        """(gather, positions, entries of several terms), built once."""
+        """The :class:`Plan` of the images, built once."""
         if self._plan is None:
-            index = self.target.index
+            index, positions, multi = self.target.index, [], []
             end = len(index)
-            positions, multi = [], []
-            for i, chain in enumerate(self.images):
-                p, items = chain
+            for i, (p, items) in enumerate(self.images):
                 if not items and p < len(_ZEROS):
                     positions.append(end + p)
                 elif len(items) == 1 and items[0][1] == 1:
@@ -405,7 +407,7 @@ class AdcMorphism:
                 else:  # a placeholder, replaced by the sum
                     positions.append(end)
                     multi.append((i, p, tuple((index[t], c) for t, c in items)))
-            _set(self, "_plan", _plan(tuple(positions), tuple(multi)))
+            _set(self, "_plan", plan_of(tuple(positions), tuple(multi)))
         return self._plan
 
     def image_of(self, token):

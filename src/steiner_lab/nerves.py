@@ -321,7 +321,7 @@ def nerve(K, cap, coeff_bound=None):
         code = codes.get(x)
         if code is None or phi.src > cap or x.source != c_delta(phi.dst):
             return x.after(c_of_map(phi))
-        key = c_of_map(phi).plan[0](code) + zeros
+        key = c_of_map(phi).plan.gather(code) + zeros
         y = coded.get(key)
         return register(x.after(c_of_map(phi)), key) if y is None else y
 

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chains import AdcMorphism, Chain, check_morphism, identity_morphism
+from .chains import AdcMorphism, Chain, check_morphism, identity_morphism, images_in_basis_order
 from .nerves import (
     SimplicialMap,
     identity_simplicial_map,
@@ -84,16 +84,12 @@ def cylinder_to_cone(n):
     src = tensor_complex(I, Kn)
     dst = c_delta(1 + n)
     images = {}
-    for p in Kn.degrees():
-        for token in Kn.tokens(p):
-            tup = token_simplex(token)
-            shifted = _shift(tup, 1)
-            images[tensor_token("0", token)] = (
-                simplex_chain((0,)) if p == 0 else Chain.zero(p)
-            )
-            images[tensor_token("1", token)] = simplex_chain(shifted)
-            images[tensor_token("0,1", token)] = simplex_chain((0,) + shifted)
-    return AdcMorphism(src, dst, images)
+    for token, p in Kn.graded():
+        shifted = _shift(token_simplex(token), 1)
+        images[tensor_token("0", token)] = simplex_chain((0,)) if p == 0 else Chain.zero(p)
+        images[tensor_token("1", token)] = simplex_chain(shifted)
+        images[tensor_token("0,1", token)] = simplex_chain((0,) + shifted)
+    return AdcMorphism(src, dst, images_in_basis_order(src, images))
 
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)
@@ -223,15 +219,15 @@ def interval_fold():
     I = c_delta(1)
     point = c_delta(0)
     P = pushout_complex(
-        AdcMorphism(point, I, {"0": Chain.unit(0, "0")}),
-        AdcMorphism(point, I, {"0": Chain.unit(0, "1")}),
+        AdcMorphism(point, I, (Chain.unit(0, "0"),)),
+        AdcMorphism(point, I, (Chain.unit(0, "1"),)),
     )
     images = {
         "0": P.right.apply(Chain.unit(0, "0")),
         "1": P.left.apply(Chain.unit(0, "1")),
         "0,1": P.left.apply(Chain.unit(1, "0,1")) + P.right.apply(Chain.unit(1, "0,1")),
     }
-    return P, AdcMorphism(I, P.complex, images)
+    return P, AdcMorphism(I, P.complex, images_in_basis_order(I, images))
 
 
 # -- the slice-nerve comparison ------------------------------------------
@@ -346,11 +342,11 @@ class SuiteReport:
 
 
 def _first_difference(f, g):
+    if f.source != g.source or f.target != g.target:
+        return "different endpoints"
     for (token, _), x, y in zip(f.source.graded(), f.images, g.images):
         if x != y:
             return f"at {token}: {x} vs {y}"
-    if f.source != g.source or f.target != g.target:
-        return "different endpoints"
     return ""
 
 
@@ -442,19 +438,17 @@ def _fold_square_checks(n_max):
         )
         T = tensor_complex(I, Kn)
         images = {}
-        for p in Kn.degrees():
-            for token in Kn.tokens(p):
-                base = Kn.unit_chain(token)
-                images[tensor_token("0", token)] = Q.right.apply(
-                    tensor_chains(Chain.unit(0, "0"), base)
-                )
-                images[tensor_token("1", token)] = Q.left.apply(
-                    tensor_chains(Chain.unit(0, "1"), base)
-                )
-                images[tensor_token("0,1", token)] = Q.left.apply(
-                    tensor_chains(Chain.unit(1, "0,1"), base)
-                ) + Q.right.apply(tensor_chains(Chain.unit(1, "0,1"), base))
-        fold_tensor = AdcMorphism(T, Q.complex, images)
+        for token, base in zip(Kn.index, Kn.row):
+            images[tensor_token("0", token)] = Q.right.apply(
+                tensor_chains(Chain.unit(0, "0"), base)
+            )
+            images[tensor_token("1", token)] = Q.left.apply(
+                tensor_chains(Chain.unit(0, "1"), base)
+            )
+            images[tensor_token("0,1", token)] = Q.left.apply(
+                tensor_chains(Chain.unit(1, "0,1"), base)
+            ) + Q.right.apply(tensor_chains(Chain.unit(1, "0,1"), base))
+        fold_tensor = AdcMorphism(T, Q.complex, images_in_basis_order(T, images))
         bottom = Q.induced(PK.right, PK.left.after(cylinder_to_cone(n)))
         lhs = cylinder_attachment(0, n).after(cylinder_to_cone(n))
         rhs = bottom.after(fold_tensor)

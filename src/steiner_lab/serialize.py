@@ -90,14 +90,14 @@ def morphism_from_json(data):
     _json_object(data, "a morphism")
     source = complex_from_json(data.get("source"))
     target = complex_from_json(data.get("target"))
-    images = {}
+    images = [None] * len(source.index)  # a token without an image reads None
     for t, entries in _json_object(data.get("images"), "'images'").items():
         try:
             p = source.degree_of(t)
         except KeyError:
             raise ValueError(f"image for unknown token {t!r}") from None
-        images[t] = chain_from_json(p, entries)
-    f = AdcMorphism(source, target, images)
+        images[source.index[t]] = chain_from_json(p, entries)
+    f = AdcMorphism(source, target, tuple(images))
     problems = morphism_shape_problems(f)
     if problems:
         raise ValueError(problems[0])

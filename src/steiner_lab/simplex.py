@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chains import AdcMorphism, Chain, DirComplex, _plan
+from .chains import AdcMorphism, Chain, DirComplex, plan_of
 
 # Distinct monotone maps kept by c_of_map; verify_suite(3, 3) asks for 10,732.
 C_OF_MAP_CACHE_SIZE = 16384
@@ -174,9 +174,9 @@ def c_of_map(phi):
     Its plan is read off the values: the position of phi(t) in cDelta(phi.dst),
     or, where phi repeats a value on t, that of the zero of t's degree."""
     get, end = _positions(phi.dst).get, len(_positions(phi.dst))
-    plan = _plan(tuple(itertools.chain.from_iterable(
+    plan = plan_of(tuple(itertools.chain.from_iterable(
         map(get, itertools.combinations(phi.image, p + 1), itertools.repeat(end + p))
         for p in range(phi.src + 1)
     )))
     target = c_delta(phi.dst)
-    return AdcMorphism(c_delta(phi.src), target, plan[0](target.row), plan)
+    return AdcMorphism(c_delta(phi.src), target, plan.gather(target.row), plan)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .chains import AdcMorphism, Chain
+from .chains import AdcMorphism, Chain, images_in_basis_order
 from .cells import (
     CellTableau,
     _keep,
@@ -84,8 +84,8 @@ class OplaxTransformation:
             raise ValueError("h is not defined on a cylinder complex")
 
     def end_functor(self, end, K):
-        image_of = self.h.image_of
-        return AdcMorphism(K, self.h.target, tuple(image_of(tensor_token(end, b)) for b in K.index))
+        h = self.h
+        return AdcMorphism(K, h.target, tuple(h.image_of(tensor_token(end, b)) for b in K.index))
 
     def source_functor(self, K):
         return self.end_functor(INTERVAL_SRC, K)
@@ -104,13 +104,11 @@ def identity_oplax(u):
     """The identity transformation of u, as a degenerate cylinder."""
     T = cylinder_complex(u.source)
     images = {}
-    for p in u.source.degrees():
-        for b in u.source.tokens(p):
-            ub = u.image_of(b)
-            images[tensor_token(INTERVAL_SRC, b)] = ub
-            images[tensor_token(INTERVAL_TGT, b)] = ub
-            images[tensor_token(INTERVAL_EDGE, b)] = Chain.zero(p + 1)
-    return OplaxTransformation(AdcMorphism(T, u.target, images))
+    for (b, p), ub in zip(u.source.graded(), u.images):
+        images[tensor_token(INTERVAL_SRC, b)] = ub
+        images[tensor_token(INTERVAL_TGT, b)] = ub
+        images[tensor_token(INTERVAL_EDGE, b)] = Chain.zero(p + 1)
+    return OplaxTransformation(AdcMorphism(T, u.target, images_in_basis_order(T, images)))
 
 
 def precompose_oplax(T, f, K=None):
@@ -118,15 +116,12 @@ def precompose_oplax(T, f, K=None):
     K = K or f.source
     C = cylinder_complex(K)
     images = {}
-    for p in K.degrees():
-        for b in K.tokens(p):
-            fb = f.image_of(b)
-            for end in (INTERVAL_SRC, INTERVAL_TGT):
-                images[tensor_token(end, b)] = T.h.apply(
-                    tensor_chains(Chain.unit(0, end), fb)
-                )
-            images[tensor_token(INTERVAL_EDGE, b)] = T.shift(fb)
-    return OplaxTransformation(AdcMorphism(C, T.h.target, images))
+    for b in K.index:
+        fb = f.image_of(b)
+        for end in (INTERVAL_SRC, INTERVAL_TGT):
+            images[tensor_token(end, b)] = T.h.apply(tensor_chains(Chain.unit(0, end), fb))
+        images[tensor_token(INTERVAL_EDGE, b)] = T.shift(fb)
+    return OplaxTransformation(AdcMorphism(C, T.h.target, images_in_basis_order(C, images)))
 
 
 def postcompose_oplax(g, T):
@@ -389,21 +384,19 @@ def pair_from_slice_family(u, c, shape, family):
     transformation's edge component to the top coherence entry.
     """
     K, L = u.source, u.target
-    a_images = {}
-    h_images = {}
-    for p in shape.degrees():
-        for b in shape.tokens(p):
-            image = family[atom_cell(shape, b)]
-            a_images[b] = image.a0[p].top
-            h_images[tensor_token(INTERVAL_EDGE, b)] = image.t0[p].top
-    a = AdcMorphism(shape, K, a_images)
+    a_images, h_images = [], {}
+    for b, p in shape.graded():
+        image = family[atom_cell(shape, b)]
+        a_images.append(image.a0[p].top)
+        h_images[tensor_token(INTERVAL_EDGE, b)] = image.t0[p].top
+    a = AdcMorphism(shape, K, tuple(a_images))
     const = constant_morphism(shape, L, c)
     ua = u.after(a)
-    for p in shape.degrees():
-        for b in shape.tokens(p):
-            h_images[tensor_token(INTERVAL_SRC, b)] = const.image_of(b)
-            h_images[tensor_token(INTERVAL_TGT, b)] = ua.image_of(b)
-    T = OplaxTransformation(AdcMorphism(cylinder_complex(shape), L, h_images))
+    for b, x, y in zip(shape.index, const.images, ua.images):
+        h_images[tensor_token(INTERVAL_SRC, b)] = x
+        h_images[tensor_token(INTERVAL_TGT, b)] = y
+    C = cylinder_complex(shape)
+    T = OplaxTransformation(AdcMorphism(C, L, images_in_basis_order(C, h_images)))
     return a, T
 
 

@@ -17,6 +17,7 @@ from .chains import (
     Chain,
     DirComplex,
     _gather,
+    images_in_basis_order,
     strong_preorder_is_total,
 )
 
@@ -79,7 +80,7 @@ def tensor_morphism(f, g):
         for a, fa in zip(f.source.index, f.images)
         for b, gb in zip(g.source.index, g.images)
     }
-    return AdcMorphism(src, dst, images)
+    return AdcMorphism(src, dst, images_in_basis_order(src, images))
 
 
 def left_unitor(K):
@@ -192,5 +193,5 @@ def pushout_complex(f, g):
         for X, name_of in sides
     )
     plan = _gather([i for level in sources for i in level])
-    glue = tuple(_gather(leg.plan[1]) for leg in (f, g))
+    glue = (f.plan.gather, g.plan.gather)
     return Pushout(M, P, left, right, f, g, plan, glue)

@@ -11,6 +11,13 @@ import itertools
 import networkx as nx
 
 from steiner_lab import AdcMorphism, Chain, atom_tableau
+from steiner_lab.chains import images_in_basis_order
+
+
+def morphism_from_dict(source, target, images):
+    """The morphism with a dict of images, put in basis order by the one
+    dict-to-tuple helper."""
+    return AdcMorphism(source, target, images_in_basis_order(source, images))
 
 
 def bounded_chains(K, p, bound):
@@ -45,7 +52,7 @@ def brute_morphisms(src, dst, bound):
                     new[token] = z
                     grown.append(new)
             partials = grown
-    return [AdcMorphism(src, dst, images) for images in partials]
+    return [morphism_from_dict(src, dst, images) for images in partials]
 
 
 def brute_cells(K, dim, bound):
@@ -133,7 +140,7 @@ def oracle_c(phi):
             values = tuple(phi(i) for i in tup)
             collapsed = len(set(values)) < len(values)
             images[simplex_token(tup)] = Chain.zero(p) if collapsed else simplex_chain(values)
-    return AdcMorphism(c_delta(phi.src), c_delta(phi.dst), images)
+    return morphism_from_dict(c_delta(phi.src), c_delta(phi.dst), images)
 
 
 def apply_by_make(f, x):

@@ -52,3 +52,23 @@ def test_assembly_pairs_the_sides_by_seed():
     }
     rss = record["theorem-a"]["peak_rss_mib"]
     assert (rss["parent_median"], rss["change_median"], rss["change_lower_on"]) == (30.0, 30.0, 1)
+
+
+def test_a_seed_with_an_incorrect_side_is_left_out_of_the_pairs():
+    lines = {  # (seed, side) -> (cold_s, peak_rss_mib, correct)
+        (1, "parent"): (1.2, 31.0, True), (1, "change"): (0.8, 30.5, True),
+        (2, "parent"): (0.9, 30.0, True), (2, "change"): (0.1, 29.0, False),
+        (3, "parent"): (5.0, 30.0, False), (3, "change"): (0.7, 30.0, True),
+        (4, "change"): (0.6, 30.0, True),  # its parent run is missing
+        (5, "parent"): (1.0, 30.0, True), (5, "change"): (0.9, 30.0, True),
+    }
+    runs = [
+        ("theorem-a", seed, side, bench_pair.result_line(canned(*values)))
+        for (seed, side), values in lines.items()
+    ]
+    cold = bench_pair.assemble(runs)["theorem-a"]["cold_s"]
+    assert cold["seeds"] == [1, 5]
+    assert (cold["parent_samples"], cold["change_samples"]) == ([1.2, 1.0], [0.8, 0.9])
+    assert cold["parent_median"] == pytest.approx(1.1)
+    assert cold["change_median"] == pytest.approx(0.85)
+    assert cold["change_lower_on"] == 2

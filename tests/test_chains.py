@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from steiner_lab import (
-    AdcMorphism,
     Chain,
     DirComplex,
     atom_tableau,
@@ -23,7 +22,13 @@ from steiner_lab import (
 from steiner_lab.chains import _toposort
 from steiner_lab.serialize import morphism_from_json, morphism_to_json
 from steiner_lab.simplex import all_monotone_maps, c_of_map
-from oracles import apply_by_make, composite_by_make, loopfree_by_networkx, sum_by_make
+from oracles import (
+    apply_by_make,
+    composite_by_make,
+    loopfree_by_networkx,
+    morphism_from_dict,
+    sum_by_make,
+)
 
 
 def chain(degree, items):
@@ -116,7 +121,7 @@ def test_morphism_hash_reads_images_in_basis_order():
     K = c_delta(2)
     f = identity_morphism(K)
     reversed_images = {t: f.image_of(t) for t in reversed(_tokens(K))}
-    g = AdcMorphism(K, K, reversed_images)
+    g = morphism_from_dict(K, K, reversed_images)
     assert list(reversed_images) != _tokens(K)
     assert g == f and hash(g) == hash(f)
     trusted = {c_of_map(phi): phi for phi in all_monotone_maps(2, 2)}
@@ -125,7 +130,7 @@ def test_morphism_hash_reads_images_in_basis_order():
         data["images"] = dict(reversed(data["images"].items()))
         validated = morphism_from_json(json.loads(json.dumps(data)))
         assert validated is not h and trusted[validated] is phi
-    partial = AdcMorphism(K, K, {"0": Chain.unit(0, "0")})  # hashes its missing images as None
+    partial = morphism_from_dict(K, K, {"0": Chain.unit(0, "0")})  # hashes its missing images as None
     assert partial not in trusted
 
 
@@ -156,7 +161,7 @@ def free_chains(draw, p):
 
 @st.composite
 def free_maps(draw):
-    return AdcMorphism(FREE, FREE, {
+    return morphism_from_dict(FREE, FREE, {
         t: draw(free_chains(p)) for p in FREE.degrees() for t in FREE.tokens(p)
     })
 
@@ -182,13 +187,13 @@ def test_composites_and_sums_match_raw_term_sums(f, g):
 def test_composite_image_kinds():
     # f(b) = -f(a), so g's image a + b of "c" cancels to zero under f
     units = {t: Chain.unit(p, t) for p in FREE.degrees() for t in FREE.tokens(p)}
-    f = AdcMorphism(FREE, FREE, dict(
+    f = morphism_from_dict(FREE, FREE, dict(
         units,
         a=chain(0, {"c": 1, "d": 2}),
         b=chain(0, {"c": -1, "d": -2}),
         d=chain(0, {"a": 3}),
     ))
-    g = AdcMorphism(FREE, FREE, dict(
+    g = morphism_from_dict(FREE, FREE, dict(
         units,
         a=Chain.zero(0),                      # zero image
         b=Chain.unit(0, "d"),                 # unit image
@@ -244,7 +249,7 @@ def test_constructor_rejects_malformed_tables():
 
 def test_degeneracy_collapse_is_valid():
     K1, K0 = c_delta(1), c_delta(0)
-    f = AdcMorphism(
+    f = morphism_from_dict(
         K1, K0, {"0": chain(0, {"0": 1}), "1": chain(0, {"0": 1}), "0,1": Chain.zero(1)}
     )
     assert check_morphism(f).ok
@@ -252,7 +257,7 @@ def test_degeneracy_collapse_is_valid():
 
 def test_negative_image_is_flagged():
     K = c_delta(1)
-    f = AdcMorphism(
+    f = morphism_from_dict(
         K,
         K,
         {"0": chain(0, {"0": 1}), "1": chain(0, {"1": 1}), "0,1": chain(1, {"0,1": -1})},
@@ -263,7 +268,7 @@ def test_negative_image_is_flagged():
 
 def test_broken_d_compatibility_is_flagged():
     K = c_delta(1)
-    f = AdcMorphism(
+    f = morphism_from_dict(
         K,
         K,
         {"0": chain(0, {"0": 1}), "1": chain(0, {"0": 1}), "0,1": chain(1, {"0,1": 1})},
@@ -283,11 +288,11 @@ def test_identity_passes_check(K):
 
 def test_morphism_shape_errors():
     K1, K0 = c_delta(1), c_delta(0)
-    missing = AdcMorphism(K1, K0, {"0": chain(0, {"0": 1}), "1": chain(0, {"0": 1})})
+    missing = morphism_from_dict(K1, K0, {"0": chain(0, {"0": 1}), "1": chain(0, {"0": 1})})
     report = check_morphism(missing)
     assert not report.ok
     assert any("no image for basis token '0,1'" in p for p in report.problems)
-    wrong_degree = AdcMorphism(
+    wrong_degree = morphism_from_dict(
         K1,
         K0,
         {

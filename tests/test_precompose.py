@@ -4,8 +4,8 @@ raw terms, and the cylinder map id (x) c(psi) against a(x)t -> a(x)psi(t)."""
 
 import pytest
 
-from oracles import composite_by_make, oracle_c
-from steiner_lab import AdcMorphism, Chain, identity_morphism
+from oracles import composite_by_make, morphism_from_dict, oracle_c
+from steiner_lab import Chain, identity_morphism
 from steiner_lab.retract import _cylinder_map, attachment_pushout
 from steiner_lab.simplex import (
     all_monotone_maps,
@@ -25,7 +25,7 @@ def labelled(K, L):
     for p in K.degrees():
         for k, token in enumerate(K.tokens(p)):
             images[token] = Chain.unit(p, L.tokens(p)[0], k + 1)
-    return AdcMorphism(K, L, images)
+    return morphism_from_dict(K, L, images)
 
 
 def maps_up_to(bound):

@@ -2,8 +2,8 @@ from math import comb
 
 import pytest
 
+from oracles import morphism_from_dict
 from steiner_lab import (
-    AdcMorphism,
     Chain,
     c_delta,
     check_morphism,
@@ -111,7 +111,7 @@ def corrupted_wedge_projection(m, n):
             images[token] = Chain.make(
                 1, {simplex_token((i0, m)): 1, simplex_token((m, i1)): -1}
             )
-    return AdcMorphism(src, src, images)
+    return morphism_from_dict(src, src, images)
 
 
 def test_corrupted_wedge_projection_fails_where_expected():

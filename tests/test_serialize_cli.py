@@ -138,10 +138,10 @@ def test_cli_tensor_and_pushout(tmp_path, capsys):
 
     point = tmp_path / "point.json"
     point.write_text(dumps(complex_to_json(c_delta(0))))
-    from steiner_lab import AdcMorphism
+    from oracles import morphism_from_dict
 
-    f = AdcMorphism(c_delta(0), c_delta(1), {"0": Chain.unit(0, "1")})
-    g = AdcMorphism(c_delta(0), c_delta(1), {"0": Chain.unit(0, "0")})
+    f = morphism_from_dict(c_delta(0), c_delta(1), {"0": Chain.unit(0, "1")})
+    g = morphism_from_dict(c_delta(0), c_delta(1), {"0": Chain.unit(0, "0")})
     f_path, g_path = tmp_path / "f.json", tmp_path / "g.json"
     f_path.write_text(dumps(morphism_to_json(f)))
     g_path.write_text(dumps(morphism_to_json(g)))

@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
+from oracles import morphism_from_dict
 from steiner_lab import (
-    AdcMorphism,
     Chain,
     c_delta,
     atom_cell,
@@ -345,7 +345,7 @@ def test_vertical_composition_matches_pushout_route():
             images[tensor_token(INTERVAL_EDGE, token)] = Q.left.apply(
                 tensor_chains(Chain.unit(1, INTERVAL_EDGE), base)
             ) + Q.right.apply(tensor_chains(Chain.unit(1, INTERVAL_EDGE), base))
-    fold = AdcMorphism(T, Q.complex, images)
+    fold = morphism_from_dict(T, Q.complex, images)
     by_source = {}
     for t in ts:
         by_source.setdefault(t.source_functor(K), []).append(t)
@@ -439,7 +439,7 @@ def nontrivial_triangle():
         tensor_token(INTERVAL_EDGE, "1"): Chain.zero(1),
         tensor_token(INTERVAL_EDGE, "0,1"): Chain.unit(2, "0,1,2"),
     }
-    alpha = OplaxTransformation(AdcMorphism(cylinder_complex(K1), K2, h_images))
+    alpha = OplaxTransformation(morphism_from_dict(cylinder_complex(K1), K2, h_images))
     assert check_morphism(alpha.h).ok
     return u, v, w, alpha
 
@@ -559,7 +559,7 @@ def test_fold_tensor_is_a_chain_map():
             images[tensor_token(INTERVAL_EDGE, token)] = Q.left.apply(
                 tensor_chains(Chain.unit(1, INTERVAL_EDGE), base)
             ) + Q.right.apply(tensor_chains(Chain.unit(1, INTERVAL_EDGE), base))
-    fold = AdcMorphism(T, Q.complex, images)
+    fold = morphism_from_dict(T, Q.complex, images)
     assert check_morphism(fold).ok
 
 
@@ -568,10 +568,10 @@ def test_whisker_composites_fail_the_interchange_rule():
     # two ways around a square of whiskered composites genuinely differ, so
     # no horizontal composition is definable
     K0, K1, K2 = c_delta(0), c_delta(1), c_delta(2)
-    f = AdcMorphism(K0, K1, {"0": Chain.unit(0, "0")})
-    g = AdcMorphism(K0, K1, {"0": Chain.unit(0, "1")})
+    f = morphism_from_dict(K0, K1, {"0": Chain.unit(0, "0")})
+    g = morphism_from_dict(K0, K1, {"0": Chain.unit(0, "1")})
     alpha = OplaxTransformation(
-        AdcMorphism(
+        morphism_from_dict(
             cylinder_complex(K0),
             K1,
             {

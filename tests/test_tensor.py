@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
+from oracles import morphism_from_dict
 from steiner_lab import (
-    AdcMorphism,
     Chain,
     c_delta,
     c_of_map,
@@ -104,8 +104,8 @@ def test_rigid_checks():
 
 def glued_intervals():
     I, P0 = c_delta(1), c_delta(0)
-    f = AdcMorphism(P0, I, {"0": Chain.unit(0, "1")})
-    g = AdcMorphism(P0, I, {"0": Chain.unit(0, "0")})
+    f = morphism_from_dict(P0, I, {"0": Chain.unit(0, "1")})
+    g = morphism_from_dict(P0, I, {"0": Chain.unit(0, "0")})
     return pushout_complex(f, g)
 
 
@@ -156,7 +156,7 @@ def test_pushout_rejects_nontotal_base():
 
     M = DirComplex([["a", "b"]], {}, {"a": 1, "b": 1})
     K = c_delta(1)
-    f = AdcMorphism(M, K, {"a": Chain.unit(0, "0"), "b": Chain.unit(0, "1")})
+    f = morphism_from_dict(M, K, {"a": Chain.unit(0, "0"), "b": Chain.unit(0, "1")})
     with pytest.raises(PushoutPreconditionError, match="total"):
         pushout_complex(f, f)
 
