@@ -135,22 +135,28 @@ def target_iter(cell, j):
     return cell
 
 
-def iterated_identity(cell, dim):
-    while cell.dim < dim:
-        cell = identity(cell)
-    return cell
-
-
 def is_identity_cell(cell):
     return cell.dim > 0 and cell.top.is_zero
 
 
+def _padded_rows(cell, i):
+    """The rows of ``cell`` padded by identities up to dimension ``i``."""
+    pad = tuple(Chain.zero(k) for k in range(cell.dim + 1, i + 1))
+    return cell.x0 + pad, cell.x1 + pad
+
+
+def _joins(x0, x1, y0, y1, j):
+    """Whether s_j of the rows (x0, x1) equals t_j of the rows (y0, y1): s_j
+    keeps x0[:j+1] over x1[:j] + (x0[j],), t_j keeps y0[:j] + (y1[j],) under
+    y1[:j+1]."""
+    return x0[j] == y1[j] and x0[:j] == y0[:j] and x1[:j] == y1[:j]
+
+
 def composable(x, y, j):
     i = max(x.dim, y.dim)
-    if not 0 <= j < i:
+    if not 0 <= j < i or x.complex != y.complex:
         return False
-    x, y = iterated_identity(x, i), iterated_identity(y, i)
-    return source_iter(x, j) == target_iter(y, j)
+    return _joins(*_padded_rows(x, i), *_padded_rows(y, i), j)
 
 
 def compose(x, y, j):
@@ -164,12 +170,12 @@ def compose(x, y, j):
     if j >= max(x.dim, y.dim) or j < 0:
         raise ValueError(f"no composition *_{j} in dimension {max(x.dim, y.dim)}")
     i = max(x.dim, y.dim)
-    x = iterated_identity(x, i)
-    y = iterated_identity(y, i)
-    if source_iter(x, j) != target_iter(y, j):
+    x0, x1 = _padded_rows(x, i)
+    y0, y1 = _padded_rows(y, i)
+    if not _joins(x0, x1, y0, y1, j):
         raise ValueError(f"cells are not {j}-composable")
-    rows0 = y.x0[: j + 1] + tuple(a + b for a, b in zip(x.x0[j + 1 :], y.x0[j + 1 :]))
-    rows1 = x.x1[: j + 1] + tuple(a + b for a, b in zip(x.x1[j + 1 :], y.x1[j + 1 :]))
+    rows0 = y0[: j + 1] + tuple(a + b for a, b in zip(x0[j + 1 :], y0[j + 1 :]))
+    rows1 = x1[: j + 1] + tuple(a + b for a, b in zip(x1[j + 1 :], y1[j + 1 :]))
     return CellTableau(x.complex, rows0, rows1)
 
 

@@ -107,6 +107,10 @@ class Chain(tuple):
     def __add__(self, other):
         if self[0] != other[0]:
             raise ValueError(f"degree mismatch: {self[0]} + {other[0]}")
+        if not other[1]:
+            return self
+        if not self[1]:
+            return other
         return _combine(self[0], ((1, self[1]), (1, other[1])))
 
     def __neg__(self):
@@ -115,6 +119,8 @@ class Chain(tuple):
     def __sub__(self, other):
         if self[0] != other[0]:
             raise ValueError(f"degree mismatch: {self[0]} - {other[0]}")
+        if not other[1]:
+            return self
         return _combine(self[0], ((1, self[1]), (-1, other[1])))
 
     def __rmul__(self, k):

@@ -9,6 +9,10 @@ differential attains its order-maximal support element with positive sign,
 so the residual at the current top coordinate must be produced by the
 finitely many generators whose differential tops out there.
 
+The peel runs on integer positions: the coordinates are numbered from the
+top, the residual is one list of ints updated in place and restored on
+backtrack, and each solution is built directly in canonical form.
+
 When no such certificate exists (cyclic precedence, zero differentials,
 non-positive augmentations) enumeration falls back to a bounded search and
 the result is flagged as possibly incomplete.
@@ -40,30 +44,16 @@ class SolveResult:
     complete: bool
 
 
-def _compositions(total, weights, cap):
-    """All (z_1..z_k) >= 0 with sum weights[i]*z_i == total and z_i <= cap."""
-    if total < 0:
-        return
-    if not weights:
-        if total == 0:
-            yield ()
-        return
-    w = weights[0]
-    top = total // w
-    if cap is not None:
-        top = min(top, cap)
-    for z in range(top + 1):
-        for rest in _compositions(total - w * z, weights[1:], cap):
-            yield (z,) + rest
-
-
 def _peel_data(K, p):
     """Peeling certificate for degree-p solves, or None.
 
-    Returns (ranked coordinate list descending, groups) where groups maps a
-    coordinate to the list of (token, top coefficient, column) peeled there.
-    Requires every degree-p generator's constraint column to be nonzero with
-    a positive coefficient at its maximal coordinate.
+    Returns (index, groups).  ``index`` numbers the degree-(p-1) coordinates
+    in descending rank of a linear extension of the precedence order (None
+    in degree 0, whose one coordinate is the augmentation).  ``groups[r]``
+    lists, as (token, top coefficient, other (position, coefficient) pairs),
+    the generators whose column tops out at position r; the other positions
+    all lie above r.  Requires every degree-p generator's constraint column
+    to be nonzero with a positive coefficient at its maximal coordinate.
     """
     cache = K._strong_cache.setdefault("peel", {})
     if p in cache:
@@ -71,66 +61,69 @@ def _peel_data(K, p):
     data = None
     if p == 0:
         if all(K.aug_of(t) > 0 for t in K.tokens(0)):
-            groups = {"": [(t, K.aug_of(t), {"": K.aug_of(t)}) for t in K.tokens(0)]}
-            data = ([""], groups)
+            data = (None, (tuple((t, K.aug_of(t), ()) for t in K.tokens(0)),))
     else:
         order = strong_loopfree_order(K)
         if order is not None:
             rank = {
                 el.token: i for i, el in enumerate(order) if el.degree == p - 1
             }
-            groups = {}
-            ok = True
+            coords = sorted(K.tokens(p - 1), key=rank.__getitem__, reverse=True)
+            index = {t: r for r, t in enumerate(coords)}
+            groups = [[] for _ in coords]
             for t in K.tokens(p):
-                col = dict(K.diff_of(t).items())
-                if not col:
-                    ok = False
+                col = sorted((index[c], a) for c, a in K.diff_of(t).items())
+                if not col or col[0][1] <= 0:
                     break
-                top = max(col, key=rank.__getitem__)
-                if col[top] <= 0:
-                    ok = False
-                    break
-                groups.setdefault(top, []).append((t, col[top], col))
-            if ok:
-                coords = sorted(K.tokens(p - 1), key=rank.__getitem__, reverse=True)
-                data = (coords, groups)
+                (top, a), others = col[0], tuple(col[1:])
+                groups[top].append((t, a, others))
+            else:
+                data = (index, tuple(map(tuple, groups)))
     cache[p] = data
     return data
 
 
-def _peel_solve(coords, groups, target, cap):
+def _peel_solve(p, groups, residual):
+    """The positive degree-p chains peeled from ``residual``, a list of the
+    target's coefficients by position.  The list is updated in place and
+    restored on backtrack."""
+    n = len(groups)
     solutions = []
+    picked = []
 
-    def descend(idx, residual, picked):
-        if idx == len(coords):
-            if not residual:
-                solutions.append(picked)
-            return
-        coord = coords[idx]
-        need = residual.get(coord, 0)
-        group = groups.get(coord, [])
-        if not group:
-            if need == 0:
-                descend(idx + 1, residual, picked)
-            return
-        weights = [a for _, a, _ in group]
-        for combo in _compositions(need, weights, cap):
-            new_residual = {c: v for c, v in residual.items() if c != coord}
-            new_picked = dict(picked)
-            for (token, _, col), z in zip(group, combo):
-                if z:
-                    new_picked[token] = z
-                    for c, a in col.items():
-                        if c == coord:
-                            continue
-                        v = new_residual.get(c, 0) - a * z
-                        if v:
-                            new_residual[c] = v
-                        else:
-                            new_residual.pop(c, None)
-            descend(idx + 1, new_residual, new_picked)
+    def descend(r):
+        while r < n and not residual[r]:
+            r += 1  # top coefficients are positive: a zero need picks nothing here
+        if r == n:
+            solutions.append(Chain(p, tuple(sorted(picked))))
+        elif residual[r] > 0 and groups[r]:
+            take(r, groups[r], 0, residual[r])
 
-    descend(0, {t: c for t, c in target.items() if c}, {})
+    def take(r, group, g, need):
+        token, a, others = group[g]
+        last = g + 1 == len(group)
+        if last:
+            z, rest = divmod(need, a)
+            if rest:
+                return
+            zs = (z,)
+        else:
+            zs = range(need // a + 1)
+        for z in zs:
+            if z:
+                for i, c in others:
+                    residual[i] -= c * z
+                picked.append((token, z))
+            if last:
+                descend(r + 1)
+            else:
+                take(r, group, g + 1, need - a * z)
+            if z:
+                for i, c in others:
+                    residual[i] += c * z
+                picked.pop()
+
+    descend(0)
     return solutions
 
 
@@ -194,8 +187,7 @@ def _memo_solve(K, p, target, bound):
     if result is None:
         if bound is not None and bound < 0:
             raise ValueError(f"coefficient bound must be non-negative, got {bound}")
-        raw = dict(target.items()) if p else ({"": target} if target else {})
-        result = _dispatch(K, p, raw, bound)
+        result = _dispatch(K, p, target, bound)
         if len(memo) >= SOLVE_MEMO_SIZE:
             del memo[next(iter(memo))]
         memo[key] = result
@@ -205,9 +197,16 @@ def _memo_solve(K, p, target, bound):
 def _dispatch(K, p, target, bound):
     data = _peel_data(K, p)
     if data is not None:
-        coords, groups = data
-        raw = _peel_solve(coords, groups, target, None)
-        chains = [Chain.make(p, sol) for sol in raw]
+        index, groups = data
+        if p:
+            residual = [0] * len(groups)
+            for t, c in target.items():
+                if t not in index:
+                    return SolveResult((), True)
+                residual[index[t]] = c
+        else:
+            residual = [target]
+        chains = _peel_solve(p, groups, residual)
         if bound is not None:
             chains = [
                 z for z in chains if all(c <= bound for _, c in z.items())
@@ -219,8 +218,8 @@ def _dispatch(K, p, target, bound):
                 "no completeness certificate for this complex; "
                 "a coefficient bound is required"
             )
-        raw = _bounded_solve(K, p, target, bound)
-        chains = [Chain.make(p, sol) for sol in raw]
+        raw = dict(target.items()) if p else ({"": target} if target else {})
+        chains = [Chain.make(p, sol) for sol in _bounded_solve(K, p, raw, bound)]
         complete = False
     chains.sort(key=lambda z: z.coeffs)
     return SolveResult(tuple(chains), complete)

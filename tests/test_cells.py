@@ -20,7 +20,7 @@ from steiner_lab import (
     target_iter,
     validate_cell,
 )
-from steiner_lab.cells import CellTableau, cell_problems
+from steiner_lab.cells import CellTableau, cell_problems, composable
 from steiner_lab.simplex import MonotoneMap, face_map
 
 
@@ -100,6 +100,47 @@ def test_noncomposable_raises():
     K = triangle()
     with pytest.raises(ValueError, match="0-composable"):
         compose(atom_cell(K, "0,1"), atom_cell(K, "1,2"), 0)
+
+
+def test_composability_matches_the_iterated_boundaries():
+    K = triangle()
+    cells = [c for d in range(3) for c in enumerate_cells(K, d).cells]
+
+    def pad(cell, i):
+        while cell.dim < i:
+            cell = identity(cell)
+        return cell
+
+    joined = apart = 0
+    for x in cells:
+        for y in cells:
+            i = max(x.dim, y.dim)
+            assert not composable(x, y, i)
+            for j in range(i):
+                if source_iter(pad(x, i), j) == target_iter(pad(y, i), j):
+                    joined += 1
+                    assert composable(x, y, j)
+                    assert validate_cell(compose(x, y, j))
+                else:
+                    apart += 1
+                    assert not composable(x, y, j)
+                    with pytest.raises(ValueError, match=f"not {j}-composable"):
+                        compose(x, y, j)
+    assert (joined, apart) == (113, 426)
+
+
+def test_composability_reads_the_lower_rows_of_a_tableau():
+    # on genuine cells x0[:j] and x1[:j] each follow from the other two
+    # conditions; on tableaux they do not
+    K = triangle()
+    v, w = Chain.unit(0, "0"), Chain.unit(0, "1")
+    e, z = Chain.unit(1, "0,1"), Chain.zero(2)
+    x = CellTableau(K, (v, e, z), (v, e, z))
+    for y in (CellTableau(K, (v, e, z), (w, e, z)), CellTableau(K, (w, e, z), (v, e, z))):
+        assert source_iter(x, 1) != target_iter(y, 1)
+        assert not composable(x, y, 1)
+        with pytest.raises(ValueError, match="not 1-composable"):
+            compose(x, y, 1)
 
 
 def test_map_cell_collapse_and_relabel():

@@ -63,6 +63,18 @@ chains = st.dictionaries(tokens, st.integers(-9, 9), max_size=5).map(
 )
 
 
+def test_zero_operands_return_the_other_chain():
+    x = chain(1, {"a": 2, "b": -1})
+    zero = Chain.zero(1)
+    assert x + zero is x and zero + x is x and x - zero is x
+    assert zero - x == -x == chain(1, {"a": -2, "b": 1})
+    for left, right in ((zero, Chain.unit(0, "a")), (Chain.unit(0, "a"), zero)):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            left + right
+        with pytest.raises(ValueError, match="degree mismatch"):
+            left - right
+
+
 @given(chains)
 def test_pos_neg_recombines_with_disjoint_support(x):
     pos, neg = pos_neg_decompose(x)

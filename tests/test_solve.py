@@ -13,6 +13,7 @@ from steiner_lab import (
 from steiner_lab.serialize import complex_from_json, complex_to_json
 from steiner_lab.solve import SolverError, solve_boundary
 from steiner_lab.tensor import tensor_complex
+from oracles import bounded_chains
 from test_cells import two_loop_complex
 
 
@@ -93,3 +94,39 @@ def test_negative_bounds_raise_and_are_never_memoized(dispatches):
         with pytest.raises(ValueError, match="non-negative"):
             solve_boundary(K, 1, Chain.make(0, {"2": 1, "0": -1}), -1)
     assert not dispatches and not K._strong_cache.get("solved")
+
+
+@pytest.mark.parametrize(
+    "K, targets",
+    [(c_delta(3), 272), (tensor_complex(c_delta(2), c_delta(1)), 5212)],
+    ids=["delta3", "delta2xdelta1"],
+)
+def test_peel_solver_matches_bounded_brute_force(K, targets):
+    K, solved = fresh(K), 0
+    for p in range(1, K.dim + 1):
+        brute = {}
+        for z in bounded_chains(K, p, 2):
+            brute.setdefault(K.d(z), []).append(z)
+        stray = Chain.unit(p - 1, K.tokens(p - 1)[0])  # e or d of it is nonzero
+        assert stray not in brute
+        for target in [*brute, stray]:
+            result = solve_boundary(K, p, target, 2)
+            assert result.complete
+            want = sorted(brute.get(target, ()), key=lambda z: z.coeffs)
+            assert result.chains == tuple(want)
+            solved += 1
+    assert solved == targets
+
+
+def test_peel_solver_edge_cases():
+    K = fresh(c_delta(2))
+    for target in (Chain.unit(0, "x"), Chain.make(0, {"x": 1, "0": -1})):
+        assert solve_boundary(K, 1, target) == solve.SolveResult((), True)
+    assert solve.solve_augmentation(K, 0) == solve.SolveResult((Chain.zero(0),), True)
+    assert solve.solve_augmentation(K, -1) == solve.SolveResult((), True)
+    edge = Chain.make(0, {"2": 1, "0": -1})
+    assert solve_boundary(K, 1, edge, 0) == solve.SolveResult((), True)
+    assert solve_boundary(K, 1, edge, 1).chains == (
+        Chain.make(1, {"0,1": 1, "1,2": 1}),
+        Chain.unit(1, "0,2"),
+    )
