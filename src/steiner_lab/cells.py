@@ -7,8 +7,9 @@ Source, target, identities and the compositions act row-wise; composition
 in mixed dimensions pads the lower cell with iterated identities.
 
 Cells, and slice cells (``slices.py``), are enumerated level by level, level
-i from level i-1.  One module slot keeps the last level either enumerator
-returned, with its key, dim and ``complete`` flag.  The key is
+i from level i-1, by one loop, ``_levels``.  It owns one module slot that
+keeps the last level either enumerator returned, with its key, dim and
+``complete`` flag.  The key is
 ("cells", K, coeff_bound) or ("slice", u, c, coeff_bound), K and u compared
 by identity.  A call with the same key and a dim at or above the kept one
 resumes from that level; any other call clears the slot first, so at most
@@ -202,22 +203,45 @@ class CellEnumeration:
 _kept = None  # (key, dim, level, complete) of the last level returned
 
 
-def _resume(key, dim):
-    """The kept (dim, level, complete) if its key is ``key``, the owner
-    (``key[1]``) compared by identity, and its dim is at most ``dim``; else
-    None.  Either way the slot is emptied: the caller keeps its own level."""
+def _fillers(K, lo, hi, bound):
+    """The cells over K from ``lo`` to ``hi``, two cells of one dim with the
+    same lower rows, and the solver's ``complete`` flag."""
+    sols = solve_boundary(K, lo.dim + 1, hi.top - lo.top, bound)
+    return [
+        CellTableau(K, lo.x0 + (z,), lo.x1[:-1] + (hi.top, z)) for z in sols.chains
+    ], sols.complete
+
+
+def _levels(key, dim, first, boundary, grow, order):
+    """Level ``dim`` of an enumeration, sorted by ``order``, and its
+    ``complete`` flag, through the slot of the module docstring.
+
+    Level 0 is ``first()``, a (list, complete) pair; level i comes from
+    level i-1 by ``grow(lo, hi)`` over every ordered pair with one
+    ``boundary``, also giving (list, complete).  The kept level is resumed
+    when its key is ``key`` (the owner ``key[1]`` compared by identity) and
+    its dim is at most ``dim``.
+    """
     global _kept
     kept, _kept = _kept, None
-    if kept and kept[1] <= dim:
-        k = kept[0]
-        if k[0] == key[0] and k[1] is key[1] and k[2:] == key[2:]:
-            return kept[1:]
-    return None
-
-
-def _keep(key, dim, level, complete):
-    global _kept
+    if (kept and kept[1] <= dim and kept[0][0] == key[0]
+            and kept[0][1] is key[1] and kept[0][2:] == key[2:]):
+        start, level, complete = kept[1:]
+    else:
+        start, (level, complete) = 0, first()
+    for _ in range(start, dim):
+        grouped = {}
+        for x in level:
+            grouped.setdefault(boundary(x), []).append(x)
+        level = []
+        for group in grouped.values():
+            for lo, hi in itertools.product(group, repeat=2):
+                new, ok = grow(lo, hi)
+                complete &= ok
+                level.extend(new)
+    level = tuple(sorted(level, key=order))
     _kept = (key, dim, level, complete)
+    return level, complete
 
 
 def enumerate_cells(K, dim, coeff_bound=None):
@@ -234,34 +258,17 @@ def enumerate_cells(K, dim, coeff_bound=None):
     """
     if dim < 0:
         raise ValueError(f"cell dimension must be non-negative, got {dim}")
-    key = ("cells", K, coeff_bound)
-    kept = _resume(key, dim)
-    if kept is None:
+
+    def first():
         zero = solve_augmentation(K, 1, coeff_bound)
-        start, cells, complete = 0, [object_cell(K, z) for z in zero.chains], zero.complete
-    else:
-        start, cells, complete = kept
-    for i in range(start + 1, dim + 1):
-        grouped = {}
-        for c in cells:
-            grouped.setdefault((c.x0[:-1], c.x1[:-1]), []).append(c)
-        new_cells = []
-        for group in grouped.values():
-            for lo, hi in itertools.product(group, repeat=2):
-                sols = solve_boundary(K, i, hi.top - lo.top, coeff_bound)
-                complete &= sols.complete
-                for z in sols.chains:
-                    new_cells.append(
-                        CellTableau(
-                            K,
-                            lo.x0[:-1] + (lo.top, z),
-                            lo.x1[:-1] + (hi.top, z),
-                        )
-                    )
-        cells = new_cells
-    cells = tuple(sorted(cells, key=lambda c: tuple(ch.coeffs for ch in c.x0 + c.x1)))
-    _keep(key, dim, cells, complete)
-    return CellEnumeration(cells, complete)
+        return [object_cell(K, z) for z in zero.chains], zero.complete
+
+    return CellEnumeration(*_levels(
+        ("cells", K, coeff_bound), dim, first,
+        lambda c: (c.x0[:-1], c.x1[:-1]),
+        lambda lo, hi: _fillers(K, lo, hi, coeff_bound),
+        lambda c: tuple(ch.coeffs for ch in c.x0 + c.x1),
+    ))
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,13 @@ it is validated on construction sites rather than trusted.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .chains import AdcMorphism, Chain, images_in_basis_order
 from .cells import (
     CellTableau,
-    _keep,
-    _resume,
+    _fillers,
+    _levels,
     atom_cell,
     cell_problems,
     compose,
@@ -34,7 +33,6 @@ from .cells import (
     target_iter,
 )
 from .simplex import c_delta
-from .solve import solve_boundary
 from .tensor import tensor_chains, tensor_complex, tensor_token
 
 INTERVAL_SRC = "0"
@@ -466,66 +464,36 @@ def enumerate_slice_cells(u, c, dim, coeff_bound=None):
         raise ValueError(f"slice object {c} is not an object chain of the target")
     base = object_cell(L, c)
 
-    def coherence_cells(source_cell, target_cell):
-        nonlocal complete
-        k = source_cell.dim
-        if (source_cell.x0[:k], source_cell.x1[:k]) != (
-            target_cell.x0[:k],
-            target_cell.x1[:k],
-        ):
-            return []
-        sols = solve_boundary(L, k + 1, target_cell.top - source_cell.top, coeff_bound)
-        complete &= sols.complete
-        return [
-            CellTableau(
-                L,
-                source_cell.x0 + (z,),
-                source_cell.x1[:k] + (target_cell.top, z),
-            )
-            for z in sols.chains
-        ]
-
-    key = ("slice", u, c, coeff_bound)
-    kept = _resume(key, dim)
-    if kept is None:
+    def first():
         objects = enumerate_cells(K, 0, coeff_bound)
-        start, cells, complete = 0, [], objects.complete
+        cells, complete = [], objects.complete
         for a in objects.cells:
-            for t in coherence_cells(base, map_cell(u, a)):
-                cells.append(SliceCell(u, c, (a,), (a,), (t,), (t,)))
-    else:
-        start, cells, complete = kept
-    for i in range(start + 1, dim + 1):
-        grouped = {}
-        for z in cells:
-            grouped.setdefault((z.a0[:-1], z.a1[:-1], z.t0[:-1], z.t1[:-1]), []).append(z)
-        new_cells = []
-        for group in grouped.values():
-            for S, T in itertools.product(group, repeat=2):
-                sigma, tau = S.a0[i - 1], T.a1[i - 1]
-                sols = solve_boundary(K, i, tau.top - sigma.top, coeff_bound)
-                complete &= sols.complete
-                for z in sols.chains:
-                    a_top = CellTableau(
-                        K,
-                        sigma.x0 + (z,),
-                        sigma.x1[: i - 1] + (tau.top, z),
-                    )
-                    want = whisker_composite(u, a_top, S.t0[:i])
-                    for top in coherence_cells(T.t1[i - 1], want):
-                        new_cells.append(
-                            SliceCell(
-                                u,
-                                c,
-                                S.a0[:i] + (a_top,),
-                                T.a1[:i] + (a_top,),
-                                S.t0[:i] + (top,),
-                                T.t1[:i] + (top,),
-                            )
-                        )
-        cells = new_cells
-    cells = tuple(sorted(cells, key=lambda z: tuple(
-        ch.coeffs for cell in z.a0 + z.a1 + z.t0 + z.t1 for ch in cell.x0 + cell.x1
-    )))
-    _keep(key, dim, cells, complete)
-    return cells, complete
+            tops, ok = _fillers(L, base, map_cell(u, a), coeff_bound)
+            complete &= ok
+            cells.extend(SliceCell(u, c, (a,), (a,), (t,), (t,)) for t in tops)
+        return cells, complete
+
+    def grow(S, T):
+        a_tops, complete = _fillers(K, S.a0[-1], T.a1[-1], coeff_bound)
+        cells = []
+        lo = T.t1[-1]
+        for a in a_tops:
+            hi = whisker_composite(u, a, S.t0)
+            if (lo.x0[:-1], lo.x1[:-1]) != (hi.x0[:-1], hi.x1[:-1]):
+                continue
+            tops, ok = _fillers(L, lo, hi, coeff_bound)
+            complete &= ok
+            cells.extend(
+                SliceCell(u, c, S.a0 + (a,), T.a1 + (a,), S.t0 + (t,), T.t1 + (t,))
+                for t in tops
+            )
+        return cells, complete
+
+    return _levels(
+        ("slice", u, c, coeff_bound), dim, first,
+        lambda z: (z.a0[:-1], z.a1[:-1], z.t0[:-1], z.t1[:-1]),
+        grow,
+        lambda z: tuple(
+            ch.coeffs for cell in z.a0 + z.a1 + z.t0 + z.t1 for ch in cell.x0 + cell.x1
+        ),
+    )

@@ -16,7 +16,6 @@ from steiner_lab import (
     enumerate_cells,
     enumerate_slice_cells,
     identity_morphism,
-    slices,
 )
 from steiner_lab.simplex import MonotoneMap
 from steiner_lab.tensor import tensor_complex
@@ -39,14 +38,16 @@ def from_empty(enumerate, *args):
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    """Entry calls of ``solve_boundary`` made by cells.py and slices.py."""
+    """Entry calls of ``solve_boundary`` made by cell and slice enumeration,
+    all of which go through cells.py."""
     calls = [0]
-    for module in (cells, slices):
-        def counting(*args, solve=module.solve_boundary):
-            calls[0] += 1
-            return solve(*args)
+    solve = cells.solve_boundary
 
-        monkeypatch.setattr(module, "solve_boundary", counting)
+    def counting(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(cells, "solve_boundary", counting)
     return calls
 
 
