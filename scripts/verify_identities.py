@@ -15,14 +15,11 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--m-max", type=int, default=3)
     parser.add_argument("--n-max", type=int, default=3)
-    parser.add_argument("--skip-nerve-retract", action="store_true")
     args = parser.parse_args()
 
     started = time.time()
     try:
-        report = verify_suite(
-            args.m_max, args.n_max, include_nerve_retract=not args.skip_nerve_retract
-        )
+        report = verify_suite(args.m_max, args.n_max)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)

@@ -59,7 +59,6 @@ from .slices import (
     slice_compose,
     slice_functor,
     slice_identity,
-    slice_source_target,
     validate_slice_cell,
     vertical_compose,
 )

@@ -104,18 +104,27 @@ def atom_cell(K, token):
     )
 
 
+def _source_rows(x0, x1):
+    """The two rows of the source of the double row (x0, x1), also the
+    a- and coherence rows of a slice cell's source."""
+    return x0[:-1], x1[:-2] + (x0[-2],)
+
+
+def _target_rows(x0, x1):
+    """The two rows of the target of the double row (x0, x1)."""
+    return x0[:-2] + (x1[-2],), x1[:-1]
+
+
 def source(cell):
     if cell.dim == 0:
         raise ValueError("0-cells have no source")
-    rows0, rows1 = cell.x0[:-1], cell.x1[:-1]
-    return CellTableau(cell.complex, rows0, rows1[:-1] + (rows0[-1],))
+    return CellTableau(cell.complex, *_source_rows(cell.x0, cell.x1))
 
 
 def target(cell):
     if cell.dim == 0:
         raise ValueError("0-cells have no target")
-    rows0, rows1 = cell.x0[:-1], cell.x1[:-1]
-    return CellTableau(cell.complex, rows0[:-1] + (rows1[-1],), rows1)
+    return CellTableau(cell.complex, *_target_rows(cell.x0, cell.x1))
 
 
 def identity(cell):

@@ -26,6 +26,7 @@ simplex is coded then.
 
 from __future__ import annotations
 
+import heapq
 import operator
 from dataclasses import dataclass
 
@@ -43,6 +44,7 @@ from .simplex import (
     join_maps,
 )
 from .solve import solve_augmentation, solve_boundary
+
 
 def _through(through, cap):
     """The last level a check runs through: ``through``, or ``cap`` if None.
@@ -206,15 +208,9 @@ def standard_simplex(N, cap):
     )
 
 
-def point_space(cap):
-    return standard_simplex(0, cap)
-
-
 def _generator_order(src):
     """Process each generator as soon as its whole boundary is assigned,
     preferring high degrees, so face constraints prune the search early."""
-    import heapq
-
     pending = {}
     dependents = {}
     heap = []
@@ -340,21 +336,26 @@ def simplex_facet(X, x, n, indices):
     return X.act(MonotoneMap(m, n, tuple(indices)), x)
 
 
-def under_slice(Y, y, m):
-    """The under-slice: n-simplices are (m+1+n)-simplices whose initial
-    m-face is y; operators act on the final block."""
+def _slice(Y, y, m, face, join, label):
+    """The n-simplices are (m+1+n)-simplices yp of Y with ``face(n)`` of yp
+    equal to the m-simplex y; psi acts on yp through ``join(psi)``."""
     cap = Y.cap - m - 1
     if cap < 0:
         raise ValueError("cap exceeded: the slice needs deeper tables")
     return SimplicialSetTrunc(
         cap,
-        lambda n: [
-            yp
-            for yp in Y.simplices(m + 1 + n)
-            if Y.act(initial_inclusion(m, n), yp) == y
-        ],
-        lambda psi, yp: Y.act(join_maps(identity_map(m), psi), yp),
-        label="under-slice",
+        lambda n: [yp for yp in Y.simplices(m + 1 + n) if Y.act(face(n), yp) == y],
+        lambda psi, yp: Y.act(join(psi), yp),
+        label=label,
+    )
+
+
+def under_slice(Y, y, m):
+    """The under-slice: n-simplices are (m+1+n)-simplices whose initial
+    m-face is y; operators act on the final block."""
+    return _slice(
+        Y, y, m, lambda n: initial_inclusion(m, n),
+        lambda psi: join_maps(identity_map(m), psi), "under-slice",
     )
 
 
@@ -365,18 +366,9 @@ def under_slice_projection(Y, y, m, slice_space):
 def over_slice(Y, y, m):
     """The over-slice: n-simplices are (n+1+m)-simplices whose final
     m-face is y; operators act on the initial block."""
-    cap = Y.cap - m - 1
-    if cap < 0:
-        raise ValueError("cap exceeded: the slice needs deeper tables")
-    return SimplicialSetTrunc(
-        cap,
-        lambda n: [
-            yp
-            for yp in Y.simplices(n + 1 + m)
-            if Y.act(final_inclusion(n, m), yp) == y
-        ],
-        lambda psi, yp: Y.act(join_maps(psi, identity_map(m)), yp),
-        label="over-slice",
+    return _slice(
+        Y, y, m, lambda n: final_inclusion(n, m),
+        lambda psi: join_maps(psi, identity_map(m)), "over-slice",
     )
 
 
@@ -397,23 +389,15 @@ def _pairs_over_final_face(u, m, n, candidates):
 
 def map_under_slice(u, y, m):
     """The relative under-slice of a simplicial map u: X -> Y at an
-    m-simplex y of Y: pairs (y', x) with initial face y and final face u(x)."""
-    X, Y = u.src, u.dst
-    cap = min(Y.cap - m - 1, X.cap)
-    if cap < 0:
-        raise ValueError("cap exceeded: the slice needs deeper tables")
-
-    def level(n):
-        candidates = (
-            yp for yp in Y.simplices(m + 1 + n) if Y.act(initial_inclusion(m, n), yp) == y
-        )
-        return _pairs_over_final_face(u, m, n, candidates)
-
-    def act(psi, pair):
-        yp, x = pair
-        return (Y.act(join_maps(identity_map(m), psi), yp), X.act(psi, x))
-
-    return SimplicialSetTrunc(cap, level, act, label="relative under-slice")
+    m-simplex y of Y: pairs (y', x) with y' in the under-slice of Y at y
+    and final face u(x)."""
+    X, S = u.src, under_slice(u.dst, y, m)
+    return SimplicialSetTrunc(
+        min(S.cap, X.cap),
+        lambda n: _pairs_over_final_face(u, m, n, S.simplices(n)),
+        lambda psi, pair: (S.act(psi, pair[0]), X.act(psi, pair[1])),
+        label="relative under-slice",
+    )
 
 
 @dataclass(frozen=True)

@@ -613,7 +613,7 @@ def _retract_checks_on_nerve(K, m, cap, label):
     return out
 
 
-def verify_suite(m_max, n_max, include_nerve_retract=True):
+def verify_suite(m_max, n_max):
     """Exhaustively check every comparison-map identity within the bounds.
 
     Identities are grouped into families; the report lists them in order.
@@ -626,9 +626,8 @@ def verify_suite(m_max, n_max, include_nerve_retract=True):
         + _fold_square_checks(n_max)
         + _wedge_checks(m_max, n_max)
         + _partial_wedge_checks(m_max, n_max)
+        + _retract_checks_on_nerve(c_delta(1), 0, 2, "the interval nerve")
     )
-    if include_nerve_retract:
-        results += _retract_checks_on_nerve(c_delta(1), 0, 2, "the interval nerve")
-        if m_max >= 1:
-            results += _retract_checks_on_nerve(c_delta(2), 1, 2, "the triangle nerve")
+    if m_max >= 1:
+        results += _retract_checks_on_nerve(c_delta(2), 1, 2, "the triangle nerve")
     return SuiteReport(tuple(results))

@@ -5,6 +5,8 @@ cells a of A together with coherence cells of C connecting the cone at c.
 Everything is represented through presenting complexes: A = nu(K),
 C = nu(L), u an ADC morphism, and an oplax transformation is a morphism
 out of the cylinder complex interval (x) K with prescribed end restrictions.
+Its end functors, whiskerings and identities are composites with cylinder
+maps: an end's injection, interval (x) f, and the collapsed interval.
 
 The tableau data is redundant (lower rows repeat the boundaries of the
 higher cells) but keeps the source/target/composition formulas symmetric;
@@ -15,11 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chains import AdcMorphism, Chain, images_in_basis_order
+from .chains import AdcMorphism, Chain, identity_morphism, images_in_basis_order
 from .cells import (
     CellTableau,
     _fillers,
+    _joins,
     _levels,
+    _source_rows,
+    _target_rows,
     atom_cell,
     cell_problems,
     compose,
@@ -32,8 +37,15 @@ from .cells import (
     target,
     target_iter,
 )
-from .simplex import c_delta
-from .tensor import tensor_chains, tensor_complex, tensor_token
+from .simplex import c_delta, c_of_map, constant_map
+from .tensor import (
+    left_unitor,
+    tensor_chains,
+    tensor_complex,
+    tensor_injection,
+    tensor_morphism,
+    tensor_token,
+)
 
 INTERVAL_SRC = "0"
 INTERVAL_TGT = "1"
@@ -82,8 +94,7 @@ class OplaxTransformation:
             raise ValueError("h is not defined on a cylinder complex")
 
     def end_functor(self, end, K):
-        h = self.h
-        return AdcMorphism(K, h.target, tuple(h.image_of(tensor_token(end, b)) for b in K.index))
+        return self.h.after(tensor_injection(interval(), K, end))
 
     def source_functor(self, K):
         return self.end_functor(INTERVAL_SRC, K)
@@ -99,32 +110,16 @@ class OplaxTransformation:
 
 
 def identity_oplax(u):
-    """The identity transformation of u, as a degenerate cylinder."""
-    T = cylinder_complex(u.source)
-    images = {}
-    for (b, p), ub in zip(u.source.graded(), u.images):
-        images[tensor_token(INTERVAL_SRC, b)] = ub
-        images[tensor_token(INTERVAL_TGT, b)] = ub
-        images[tensor_token(INTERVAL_EDGE, b)] = Chain.zero(p + 1)
-    return OplaxTransformation(AdcMorphism(T, u.target, images_in_basis_order(T, images)))
+    """The identity transformation of u: u after the cylinder collapsed
+    onto cDelta(0) (x) K, then the left unitor."""
+    K = u.source
+    collapse = tensor_morphism(c_of_map(constant_map(1, 0, 0)), identity_morphism(K))
+    return OplaxTransformation(u.after(left_unitor(K)).after(collapse))
 
 
-def precompose_oplax(T, f, K=None):
-    """Whisker T by f on the right: the transformation T . f."""
-    K = K or f.source
-    C = cylinder_complex(K)
-    images = {}
-    for b in K.index:
-        fb = f.image_of(b)
-        for end in (INTERVAL_SRC, INTERVAL_TGT):
-            images[tensor_token(end, b)] = T.h.apply(tensor_chains(Chain.unit(0, end), fb))
-        images[tensor_token(INTERVAL_EDGE, b)] = T.shift(fb)
-    return OplaxTransformation(AdcMorphism(C, T.h.target, images_in_basis_order(C, images)))
-
-
-def postcompose_oplax(g, T):
-    """Whisker T by a functor g on the left: g . T."""
-    return OplaxTransformation(g.after(T.h))
+def precompose_oplax(T, f):
+    """Whisker T by f on the right: T after the interval tensored with f."""
+    return OplaxTransformation(T.h.after(tensor_morphism(identity_morphism(interval()), f)))
 
 
 def cylinder_cell(a):
@@ -204,12 +199,6 @@ def whisker_composite(u, a_cell, coherences):
     return acc
 
 
-def whisker_target(cell, eps, k):
-    """The prescribed target of the coherence cell in column k+1."""
-    a_row = cell.a0 if eps == 0 else cell.a1
-    return whisker_composite(cell.u, a_row[k], cell.t0[:k])
-
-
 def slice_problems(cell):
     """Diagnostics for the slice tableau conditions; empty iff valid."""
     problems = []
@@ -238,11 +227,12 @@ def slice_problems(cell):
             if target(row[k]) != cell.a1[k - 1]:
                 problems.append(f"target of a^{eps}_{k} is not a^1_{k - 1}")
     for k in range(i + 1):
-        for eps, row in ((0, cell.t0), (1, cell.t1)):
+        for eps, (a_row, row) in enumerate(((cell.a0, cell.t0), (cell.a1, cell.t1))):
             want_source = cell.base_object() if k == 0 else cell.t1[k - 1]
             if source(row[k]) != want_source:
                 problems.append(f"source of alpha^{eps}_{k + 1} is wrong")
-            if target(row[k]) != whisker_target(cell, eps, k):
+            # the prescribed target: u(a) whiskered by the lower coherences
+            if target(row[k]) != whisker_composite(cell.u, a_row[k], cell.t0[:k]):
                 problems.append(f"target of alpha^{eps}_{k + 1} is wrong")
     return problems
 
@@ -252,35 +242,19 @@ def validate_slice_cell(cell):
 
 
 def slice_source(cell):
-    i = cell.dim
-    if i == 0:
+    if cell.dim == 0:
         raise ValueError("0-cells have no source")
     return SliceCell(
-        cell.u,
-        cell.c,
-        cell.a0[:i],
-        cell.a1[: i - 1] + (cell.a0[i - 1],),
-        cell.t0[:i],
-        cell.t1[: i - 1] + (cell.t0[i - 1],),
+        cell.u, cell.c, *_source_rows(cell.a0, cell.a1), *_source_rows(cell.t0, cell.t1)
     )
 
 
 def slice_target(cell):
-    i = cell.dim
-    if i == 0:
+    if cell.dim == 0:
         raise ValueError("0-cells have no target")
     return SliceCell(
-        cell.u,
-        cell.c,
-        cell.a0[: i - 1] + (cell.a1[i - 1],),
-        cell.a1[:i],
-        cell.t0[: i - 1] + (cell.t1[i - 1],),
-        cell.t1[:i],
+        cell.u, cell.c, *_target_rows(cell.a0, cell.a1), *_target_rows(cell.t0, cell.t1)
     )
-
-
-def slice_source_target(cell):
-    return slice_source(cell), slice_target(cell)
 
 
 def slice_identity(cell):
@@ -327,11 +301,8 @@ def slice_compose(x, y, j):
         raise ValueError("slice cells live in different slices")
     if not 0 <= j < i:
         raise ValueError(f"no composition *_{j} in dimension {i}")
-    for k in range(j):
-        if (x.a0[k], x.a1[k], x.t0[k], x.t1[k]) != (y.a0[k], y.a1[k], y.t0[k], y.t1[k]):
-            raise ValueError(f"cells are not {j}-composable (level {k})")
-    if x.a0[j] != y.a1[j] or x.t0[j] != y.t1[j]:
-        raise ValueError(f"cells are not {j}-composable (level {j})")
+    if not (_joins(x.a0, x.a1, y.a0, y.a1, j) and _joins(x.t0, x.t1, y.t0, y.t1, j)):
+        raise ValueError(f"cells are not {j}-composable")
 
     def gamma(eps, k):
         # k indexes the stored column: the coherence cell alpha^eps_{k+1}

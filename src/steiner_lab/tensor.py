@@ -20,6 +20,7 @@ from .chains import (
     images_in_basis_order,
     strong_preorder_is_total,
 )
+from .simplex import c_delta
 
 TENSOR_SEP = "(x)"
 
@@ -85,8 +86,6 @@ def tensor_morphism(f, g):
 
 def left_unitor(K):
     """The isomorphism cDelta(0) (x) K -> K."""
-    from .simplex import c_delta
-
     return AdcMorphism(tensor_complex(c_delta(0), K), K, K.row[:len(K.index)])
 
 

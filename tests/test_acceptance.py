@@ -179,7 +179,7 @@ def test_criterion_6_chain_maps_with_fault_injection():
 
 def test_criterion_7_identity_and_retract_suite():
     started = time.time()
-    suite = verify_suite(3, 3, include_nerve_retract=True)
+    suite = verify_suite(3, 3)
     for result in suite.results:
         assert result.passed, (result.name, result.counterexample)
     counts = {r.name: r.instances for r in suite.results}

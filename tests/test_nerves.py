@@ -29,7 +29,6 @@ from steiner_lab.nerves import (
     map_under_slice,
     nerve_map,
     over_slice_projection,
-    point_space,
     simplicial_map_failures,
     standard_simplex,
     under_slice_projection,
@@ -182,7 +181,7 @@ def test_over_slice_of_the_triangle_at_its_last_vertex():
 
 
 def test_slice_of_a_point():
-    P = point_space(3)
+    P = standard_simplex(0, 3)
     space = over_slice(P, identity_map(0), 0)
     assert len(space.simplices(0)) == 1 and len(space.simplices(1)) == 1
 
@@ -224,7 +223,7 @@ def test_contraction_endpoints_on_the_triangle():
 
 
 def test_contraction_on_the_point():
-    P = point_space(3)
+    P = standard_simplex(0, 3)
     data = decalage_homotopy(P, identity_map(0), 0)
     for n in range(2):
         for xp in data.space.simplices(n):

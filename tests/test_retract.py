@@ -124,7 +124,7 @@ def test_corrupted_wedge_projection_fails_where_expected():
 
 
 def test_suite_passes_at_small_bounds():
-    report = verify_suite(1, 1, include_nerve_retract=False)
+    report = verify_suite(1, 1)
     assert report.all_passed
 
 
@@ -154,7 +154,7 @@ def _operator_pairs(bound):
 
 
 def test_family_instance_counts_match_closed_forms():
-    report = verify_suite(2, 3, include_nerve_retract=False)
+    report = verify_suite(2, 3)
     counts = {r.name: r.instances for r in report.results}
     assert all(n > 0 for n in counts.values())
     m_max, n_max = 2, 3
@@ -187,7 +187,7 @@ def test_cone_checks_report_the_instances_reached(monkeypatch):
 
 
 def test_suite_report_formats():
-    report = verify_suite(0, 0, include_nerve_retract=False)
+    report = verify_suite(0, 0)
     text = str(report)
     assert "pass" in text and "FAIL" not in text
 

@@ -20,7 +20,6 @@ from steiner_lab import (
     slice_compose,
     slice_functor,
     slice_identity,
-    slice_source_target,
     source,
     source_iter,
     target,
@@ -30,7 +29,7 @@ from steiner_lab import (
     vertical_compose,
 )
 from steiner_lab.cells import identity
-from steiner_lab.nerves import enumerate_morphisms
+from steiner_lab.nerves import enumerate_morphisms, hom_enumerate
 from steiner_lab.retract import interval_fold
 from steiner_lab.simplex import MonotoneMap, face_map
 from steiner_lab.tensor import tensor_chains
@@ -43,9 +42,9 @@ from steiner_lab.slices import (
     cylinder_cell,
     cylinder_complex,
     pair_from_slice_family,
-    postcompose_oplax,
     precompose_oplax,
     slice_cell_from_pair,
+    slice_iterated_identity,
     slice_problems,
     slice_source,
     slice_source_iter,
@@ -91,7 +90,7 @@ def test_spec_one_cell_of_the_vertex_slice():
     ]
     assert len(wanted) == 1
     cell = wanted[0]
-    s, t = slice_source_target(cell)
+    s, t = slice_source(cell), slice_target(cell)
     assert s.a0[0].top == Chain.unit(0, "1")
     assert s.t0[0].top == Chain.unit(1, "0,1")
     assert t.a0[0].top == Chain.unit(0, "2")
@@ -118,7 +117,7 @@ def test_globularity_on_slice_two_cells():
     u, c = triangle_slice()
     twos, _ = enumerate_slice_cells(u, c, 2)
     for z in twos:
-        s, t = slice_source_target(z)
+        s, t = slice_source(z), slice_target(z)
         assert slice_source(s) == slice_source(t)
         assert slice_target(s) == slice_target(t)
 
@@ -137,6 +136,31 @@ def test_slice_composition_validates_and_unit_laws():
     for x in ones:
         assert slice_compose(x, slice_identity(slice_source_iter(x, 0)), 0) == x
         assert slice_compose(slice_identity(slice_target_iter(x, 0)), x, 0) == x
+
+
+def test_slice_composability_is_the_levelwise_match():
+    # x *_j y is defined iff, after padding, all four rows of x and y agree
+    # below level j and x's lower rows meet y's upper rows at level j
+    u, c = triangle_slice()
+    cells = [z for i in (1, 2) for z in enumerate_slice_cells(u, c, i)[0]]
+    composed = refused = 0
+    for x, y in itertools.product(cells, repeat=2):
+        i = max(x.dim, y.dim)
+        px, py = slice_iterated_identity(x, i), slice_iterated_identity(y, i)
+        for j in range(i):
+            below = all(
+                (px.a0[k], px.a1[k], px.t0[k], px.t1[k])
+                == (py.a0[k], py.a1[k], py.t0[k], py.t1[k])
+                for k in range(j)
+            )
+            if below and (px.a0[j], px.t0[j]) == (py.a1[j], py.t1[j]):
+                slice_compose(x, y, j)
+                composed += 1
+            else:
+                with pytest.raises(ValueError, match=f"not {j}-composable"):
+                    slice_compose(x, y, j)
+                refused += 1
+    assert (composed, refused) == (129, 808)
 
 
 def test_slice_associativity_in_the_tetrahedron_slice():
@@ -457,7 +481,7 @@ def test_slice_functor_on_a_nontrivial_triangle():
             image = act(cell)
             assert validate_slice_cell(image), slice_problems(image)
     for cell in levels[1] + levels[2]:
-        s, t = slice_source_target(cell)
+        s, t = slice_source(cell), slice_target(cell)
         assert act(s) == slice_source(act(cell))
         assert act(t) == slice_target(act(cell))
     for cell in levels[0] + levels[1]:
@@ -583,10 +607,76 @@ def test_whisker_composites_fail_the_interchange_rule():
     )
     _, h, k, beta = nontrivial_triangle()  # h: long edge, k: (1,2)-edge
     h, k = beta.source_functor(K1), beta.target_functor(K1)
-    one = vertical_compose(postcompose_oplax(k, alpha), precompose_oplax(beta, f))
-    two = vertical_compose(precompose_oplax(beta, g), postcompose_oplax(h, alpha))
+    one = vertical_compose(OplaxTransformation(k.after(alpha.h)), precompose_oplax(beta, f))
+    two = vertical_compose(precompose_oplax(beta, g), OplaxTransformation(h.after(alpha.h)))
     assert one.source_functor(K0) == two.source_functor(K0)
     assert one.target_functor(K0) == two.target_functor(K0)
     assert one.h != two.h
     assert one.shift(Chain.unit(0, "0")) == Chain.make(1, {"0,1": 1, "1,2": 1})
     assert two.shift(Chain.unit(0, "0")) == Chain.unit(1, "0,2")
+
+
+# -- the cylinder composites against their token-by-token formulas ----------------
+
+def token_identity_oplax(u):
+    """The identity transformation of u built token by token: both ends of
+    the cylinder go to u's images, every edge token to zero."""
+    images = {}
+    for (b, p), ub in zip(u.source.graded(), u.images):
+        images[tensor_token(INTERVAL_SRC, b)] = ub
+        images[tensor_token(INTERVAL_TGT, b)] = ub
+        images[tensor_token(INTERVAL_EDGE, b)] = Chain.zero(p + 1)
+    return morphism_from_dict(cylinder_complex(u.source), u.target, images)
+
+
+def token_precompose(T, f):
+    """T whiskered by f built token by token: the ends through T.h, the
+    edge through T.shift."""
+    images = {}
+    for b in f.source.index:
+        fb = f.image_of(b)
+        for end in (INTERVAL_SRC, INTERVAL_TGT):
+            images[tensor_token(end, b)] = T.h.apply(tensor_chains(Chain.unit(0, end), fb))
+        images[tensor_token(INTERVAL_EDGE, b)] = T.shift(fb)
+    return morphism_from_dict(cylinder_complex(f.source), T.h.target, images)
+
+
+def whiskering_cases():
+    """(T, a) for T the nontrivial triangle's transformation over cDelta(1)
+    and the identity transformation of cDelta(2), each with every map a
+    from cDelta(n), n <= 2, into its base: 2 + 3 + 4 and 3 + 7 + 15 maps."""
+    _, _, _, alpha = nontrivial_triangle()
+    K2 = c_delta(2)
+    unit = OplaxTransformation(token_identity_oplax(identity_morphism(K2)))
+    cases = [
+        (T, a)
+        for T, K in ((alpha, c_delta(1)), (unit, K2))
+        for n in range(3)
+        for a in hom_enumerate(n, K)
+    ]
+    assert len(cases) == 34
+    return cases
+
+
+def test_end_functors_are_the_end_images():
+    for T, a in whiskering_cases():
+        for S, K in ((T, a.target), (precompose_oplax(T, a), a.source)):
+            for end, functor in (
+                (INTERVAL_SRC, S.source_functor(K)), (INTERVAL_TGT, S.target_functor(K))
+            ):
+                assert (functor.source, functor.target) == (K, S.h.target)
+                assert functor.images == tuple(
+                    S.h.image_of(tensor_token(end, b)) for b in K.index
+                )
+
+
+def test_identity_transformation_is_the_degenerate_cylinder():
+    for T, a in whiskering_cases():
+        K = a.target
+        for u in (a, T.source_functor(K).after(a), T.target_functor(K).after(a)):
+            assert identity_oplax(u).h == token_identity_oplax(u)
+
+
+def test_whiskering_is_the_token_by_token_build():
+    for T, a in whiskering_cases():
+        assert precompose_oplax(T, a).h == token_precompose(T, a)
