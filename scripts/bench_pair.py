@@ -11,7 +11,8 @@ are read from BENCHMARK.json.  For each workload and seed 1..10,
 ``python3 perfbench/run.py --trace 0`` runs once in each tree, the parent
 first on odd seeds and the change first on even ones.  The output holds,
 per workload and end-to-end metric, the per-seed medians of both sides
-and the median over the seeds.  A seed on which either side is not
+and the median over the seeds, and the ``src/**/*.py`` line count of
+both trees.  A seed on which either side is not
 ``correct`` is left out of the pairs and listed; the exit status is then 1.
 """
 
@@ -70,6 +71,11 @@ def assemble(runs):
     return out
 
 
+def src_lines(tree):
+    """The number of lines of the Python files under ``tree``/src."""
+    return sum(path.read_bytes().count(b"\n") for path in Path(tree).glob("src/**/*.py"))
+
+
 def run_side(tree, workload, seed, seconds):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -116,6 +122,7 @@ def main():
                     if not result["correct"]:
                         bad.append(f"{workload} seed {seed} {side}: {result.get('error', '')}")
                     runs.append((workload, seed, side, result))
+        lines = {side: src_lines(trees[side]) for side in SIDES}
     record = {
         "parent": parent,
         "change": "working tree of " + commit_of("HEAD"),
@@ -123,6 +130,7 @@ def main():
                    " --trace 0",
         "order": "parent first on odd seeds, change first on even seeds",
         "python": platform.python_version(),
+        "src_lines": lines,
         "workloads": assemble(runs),
         "incorrect_runs": bad,
     }

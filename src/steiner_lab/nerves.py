@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from .chains import AdcMorphism, Chain, _combine, _gather
 from .simplex import (
     MonotoneMap,
+    _operators,
     all_monotone_maps,
     c_delta,
     c_of_map,
@@ -139,35 +140,28 @@ class SimplicialSetTrunc:
             return tables[phi]
 
         failures = []
-        for n in range(through + 1):
-            for m in range(through + 1):
-                for phi in all_monotone_maps(m, n):
-                    if generators_only:
-                        seconds = [face_map(m, i) for i in range(m + 1) if m >= 1]
-                        if m + 1 <= through:
-                            seconds += [degeneracy_map(m, i) for i in range(m + 1)]
-                    else:
-                        seconds = [
-                            psi
-                            for k in range(min(m + 1, through) + 1)
-                            for psi in all_monotone_maps(k, m)
-                        ]
-                    first = table(phi)
-                    for psi in seconds:
-                        lhs = table(phi.compose(psi))
-                        second = table(psi)
-                        size = len(second)
-                        rhs = [
-                            second[j] if j < size
-                            else ident(psi.src, self.act(psi, values[m][j]))
-                            for j in first
-                        ]
-                        if lhs != rhs:
-                            failures.extend(
-                                (phi, psi, x)
-                                for x, a, b in zip(levels[n], lhs, rhs)
-                                if a != b
-                            )
+        for n, m, phi in _operators(through):
+            if generators_only:
+                seconds = [face_map(m, i) for i in range(m + 1) if m >= 1]
+                if m + 1 <= through:
+                    seconds += [degeneracy_map(m, i) for i in range(m + 1)]
+            else:
+                seconds = [
+                    psi for k in range(min(m + 1, through) + 1) for psi in all_monotone_maps(k, m)
+                ]
+            first = table(phi)
+            for psi in seconds:
+                lhs = table(phi.compose(psi))
+                second = table(psi)
+                size = len(second)
+                rhs = [
+                    second[j] if j < size else ident(psi.src, self.act(psi, values[m][j]))
+                    for j in first
+                ]
+                if lhs != rhs:
+                    failures.extend(
+                        (phi, psi, x) for x, a, b in zip(levels[n], lhs, rhs) if a != b
+                    )
         return failures
 
 
@@ -185,17 +179,18 @@ def identity_simplicial_map(X):
     return SimplicialMap(X, X, lambda n, x: x)
 
 
+def _commutations(f, through):
+    """((phi, x), f(X(phi) x), Y(phi) f(x)) for every operator phi within
+    ``through`` and every simplex x of f's source that phi acts on."""
+    for n, m, phi in _operators(through):
+        for x in f.src.simplices(n):
+            yield (phi, x), f(m, f.src.act(phi, x)), f.dst.act(phi, f(n, x))
+
+
 def simplicial_map_failures(f, through=None):
     """Commutation failures of f with all operators within the caps."""
     through = _through(through, min(f.src.cap, f.dst.cap))
-    failures = []
-    for n in range(through + 1):
-        for m in range(through + 1):
-            for phi in all_monotone_maps(m, n):
-                for x in f.src.simplices(n):
-                    if f(m, f.src.act(phi, x)) != f.dst.act(phi, f(n, x)):
-                        failures.append((phi, x))
-    return failures
+    return [args for args, lhs, rhs in _commutations(f, through) if lhs != rhs]
 
 
 def standard_simplex(N, cap):

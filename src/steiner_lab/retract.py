@@ -17,6 +17,10 @@ The four map families:
 
 Every formula collapses tuples with repeated entries to zero, consistent
 with the chains functor.  Each constructor builds its map once per argument.
+
+In the suite each identity is a stream of compared pairs (lhs, rhs): its
+instance count is the number of pairs compared, and a failing family still
+sweeps every instance, reporting the first unequal pair.
 """
 
 from __future__ import annotations
@@ -28,13 +32,14 @@ from functools import lru_cache
 from .chains import AdcMorphism, Chain, check_morphism, identity_morphism, images_in_basis_order
 from .nerves import (
     SimplicialMap,
+    _commutations,
     identity_simplicial_map,
     map_under_slice,
     nerve,
-    simplicial_map_failures,
 )
 from .simplex import (
     MonotoneMap,
+    _operators,
     all_monotone_maps,
     c_delta,
     c_of_map,
@@ -350,79 +355,75 @@ def _first_difference(f, g):
     return ""
 
 
-def _identity(name, failures, instances):
-    """The result of an identity, with its first failure as counterexample."""
-    return IdentityResult(name, not failures, instances, failures[0] if failures else "")
+def _family(name, cases, label):
+    """Compare and count every (args, lhs, rhs) that ``cases`` yields; the
+    first unequal pair, if any, is reported as ``label(*args)``."""
+    instances, first = 0, None
+    for args, lhs, rhs in cases:
+        instances += 1
+        if lhs != rhs and first is None:
+            first = label(*args)
+        del args, lhs, rhs  # so the next pair is built with this one freed
+    return IdentityResult(name, first is None, instances, first or "")
 
 
-def _morphism_identity(name, lhs, rhs):
-    return _identity(name, [] if lhs == rhs else [_first_difference(lhs, rhs)], 1)
+def _equal_maps(name, lhs, rhs):
+    return _family(name, [((lhs, rhs), lhs, rhs)], _first_difference)
 
 
-def _chain_map_result(name, f):
-    return _identity(name, check_morphism(f).problems, 1)
+def _chain_map(name, f):
+    return _family(
+        name, [((f,), check_morphism(f).ok, True)], lambda f: check_morphism(f).problems[0]
+    )
 
 
 def _cone_checks(n_max):
-    out = []
-    for n in range(n_max + 1):
-        out.append(_chain_map_result(f"cone collapse is a chain map (n={n})", cylinder_to_cone(n)))
-    instances = 0
-    for n in range(n_max + 1):
-        for n2 in range(n_max + 1):
-            for psi in all_monotone_maps(n2, n):
-                instances += 1
-                lhs = cylinder_to_cone(n).after(_cylinder_map(psi))
-                rhs = c_of_map(join_maps(identity_map(0), psi)).after(cylinder_to_cone(n2))
-                if lhs != rhs:
-                    out.append(
-                        IdentityResult(
-                            "cone collapse naturality", False, instances, f"n={n}, psi={psi.image}"
-                        )
-                    )
-                    return out
-    out.append(IdentityResult(f"cone collapse naturality (n, n' <= {n_max})", True, instances))
+    out = [
+        _chain_map(f"cone collapse is a chain map (n={n})", cylinder_to_cone(n))
+        for n in range(n_max + 1)
+    ]
+
+    def naturality():
+        for n, n2, psi in _operators(n_max):
+            lhs = cylinder_to_cone(n).after(_cylinder_map(psi))
+            rhs = c_of_map(join_maps(identity_map(0), psi)).after(cylinder_to_cone(n2))
+            yield (n, psi.image), lhs, rhs
+
+    out.append(_family(
+        f"cone collapse naturality (n, n' <= {n_max})", naturality(), "n={}, psi={}".format
+    ))
     return out
 
 
 def _attachment_checks(m_max, n_max):
-    out = []
     pairs = list(itertools.product(range(m_max + 1), range(n_max + 1)))
-    for m, n in pairs:
-        out.append(
-            _chain_map_result(
-                f"cylinder attachment is a chain map (m={m}, n={n})", cylinder_attachment(m, n)
-            )
-        )
-    for k, (m, n) in enumerate(pairs, 1):
-        initial = c_of_map(initial_inclusion(m, n))
-        lhs = cylinder_attachment(m, n).after(initial)
-        rhs = attachment_pushout(m, n).left.after(initial)
-        if lhs != rhs:
-            out.append(IdentityResult(
-                f"cylinder attachment fixes the initial face (m={m}, n={n})",
-                False, k, _first_difference(lhs, rhs),
-            ))
-            return out
-    out.append(IdentityResult("cylinder attachment fixes the initial face", True, len(pairs)))
+    out = [
+        _chain_map(f"cylinder attachment is a chain map (m={m}, n={n})", cylinder_attachment(m, n))
+        for m, n in pairs
+    ]
 
-    failures = []
-    instances = 0
-    for m, n in pairs:
-        P = attachment_pushout(m, n)
-        for m2, n2 in pairs:
-            for phi in all_monotone_maps(m2, m):
-                for psi in all_monotone_maps(n2, n):
-                    instances += 1
-                    joined = c_of_map(join_maps(phi, psi))
-                    glue = attachment_pushout(m2, n2).induced(
-                        P.left.after(joined), P.right.after(_cylinder_map(psi))
-                    )
-                    lhs = cylinder_attachment(m, n).after(joined)
-                    rhs = glue.after(cylinder_attachment(m2, n2))
-                    if lhs != rhs:
-                        failures.append(f"(m,n)=({m},{n}) phi={phi.image} psi={psi.image}")
-    out.append(_identity("cylinder attachment naturality", failures, instances))
+    def fixes_initial_face():
+        for m, n in pairs:
+            initial = c_of_map(initial_inclusion(m, n))
+            lhs = cylinder_attachment(m, n).after(initial)
+            yield (m, n), lhs, attachment_pushout(m, n).left.after(initial)
+
+    def naturality():
+        for (m, m2, phi), (n, n2, psi) in itertools.product(_operators(m_max), _operators(n_max)):
+            P = attachment_pushout(m, n)
+            joined = c_of_map(join_maps(phi, psi))
+            glue = attachment_pushout(m2, n2).induced(
+                P.left.after(joined), P.right.after(_cylinder_map(psi))
+            )
+            lhs = cylinder_attachment(m, n).after(joined)
+            yield (m, n, phi.image, psi.image), lhs, glue.after(cylinder_attachment(m2, n2))
+
+    out.append(_family(
+        "cylinder attachment fixes the initial face", fixes_initial_face(), "(m,n)=({},{})".format
+    ))
+    out.append(_family(
+        "cylinder attachment naturality", naturality(), "(m,n)=({},{}) phi={} psi={}".format
+    ))
     return out
 
 
@@ -432,185 +433,125 @@ def _fold_square_checks(n_max):
     for n in range(n_max + 1):
         Kn = c_delta(n)
         PK = attachment_pushout(0, n)
-        Q = pushout_complex(
-            tensor_injection(I, Kn, "0"),
-            tensor_injection(I, Kn, "1"),
-        )
+        Q = pushout_complex(tensor_injection(I, Kn, "0"), tensor_injection(I, Kn, "1"))
         T = tensor_complex(I, Kn)
         images = {}
         for token, base in zip(Kn.index, Kn.row):
-            images[tensor_token("0", token)] = Q.right.apply(
-                tensor_chains(Chain.unit(0, "0"), base)
-            )
-            images[tensor_token("1", token)] = Q.left.apply(
-                tensor_chains(Chain.unit(0, "1"), base)
-            )
-            images[tensor_token("0,1", token)] = Q.left.apply(
-                tensor_chains(Chain.unit(1, "0,1"), base)
-            ) + Q.right.apply(tensor_chains(Chain.unit(1, "0,1"), base))
+            start, end = (tensor_chains(Chain.unit(0, e), base) for e in "01")
+            edge = tensor_chains(Chain.unit(1, "0,1"), base)
+            images[tensor_token("0", token)] = Q.right.apply(start)
+            images[tensor_token("1", token)] = Q.left.apply(end)
+            images[tensor_token("0,1", token)] = Q.left.apply(edge) + Q.right.apply(edge)
         fold_tensor = AdcMorphism(T, Q.complex, images_in_basis_order(T, images))
         bottom = Q.induced(PK.right, PK.left.after(cylinder_to_cone(n)))
         lhs = cylinder_attachment(0, n).after(cylinder_to_cone(n))
-        rhs = bottom.after(fold_tensor)
-        res = _morphism_identity(f"interval fold square (n={n})", lhs, rhs)
-        out.append(res)
+        out.append(_equal_maps(f"interval fold square (n={n})", lhs, bottom.after(fold_tensor)))
     return out
 
 
 def _wedge_checks(m_max, n_max):
     out = []
-    failures = []
-    instances = 0
-    for m in range(m_max + 1):
-        for n in range(n_max + 1):
-            P = wedge_pushout(m, n)
-            f = wedge_projection(m, n)
-            out.append(
-                _chain_map_result(f"wedge projection is a chain map (m={m}, n={n})", f)
-            )
-            endo = wedge_projection_endo(m, n)
-            out.append(
-                _morphism_identity(
-                    f"wedge projection factors through the wedge (m={m}, n={n})",
-                    wedge_inclusion(m, n).after(f),
-                    endo,
+    for m, n in itertools.product(range(m_max + 1), range(n_max + 1)):
+        P, f, endo = wedge_pushout(m, n), wedge_projection(m, n), wedge_projection_endo(m, n)
+        bounds = f"(m={m}, n={n})"
+        out += [
+            _chain_map(f"wedge projection is a chain map {bounds}", f),
+            _equal_maps(f"wedge projection factors through the wedge {bounds}",
+                        wedge_inclusion(m, n).after(f), endo),
+            _equal_maps(f"wedge projection is idempotent {bounds}", endo.after(endo), endo),
+            _equal_maps(f"wedge projection restricts to the identity {bounds}",
+                        f.after(wedge_inclusion(m, n)), identity_morphism(P.complex)),
+        ]
+
+    def naturality():
+        for m in range(m_max + 1):
+            for n, n2, psi in _operators(n_max):
+                P = wedge_pushout(m, n)
+                glue = wedge_pushout(m, n2).induced(
+                    P.left, P.right.after(c_of_map(join_maps(identity_map(0), psi)))
                 )
-            )
-            out.append(
-                _morphism_identity(
-                    f"wedge projection is idempotent (m={m}, n={n})",
-                    endo.after(endo),
-                    endo,
-                )
-            )
-            out.append(
-                _morphism_identity(
-                    f"wedge projection restricts to the identity (m={m}, n={n})",
-                    f.after(wedge_inclusion(m, n)),
-                    identity_morphism(P.complex),
-                )
-            )
-            for n2 in range(n_max + 1):
-                for psi in all_monotone_maps(n2, n):
-                    instances += 1
-                    psi1 = join_maps(identity_map(m), psi)
-                    psi2 = join_maps(identity_map(0), psi)
-                    glue = wedge_pushout(m, n2).induced(P.left, P.right.after(c_of_map(psi2)))
-                    lhs = f.after(c_of_map(psi1))
-                    rhs = glue.after(wedge_projection(m, n2))
-                    if lhs != rhs:
-                        failures.append(f"(m,n,n')=({m},{n},{n2}) psi={psi.image}")
-    out.append(_identity("wedge projection naturality", failures, instances))
+                lhs = wedge_projection(m, n).after(c_of_map(join_maps(identity_map(m), psi)))
+                yield (m, n, n2, psi.image), lhs, glue.after(wedge_projection(m, n2))
+
+    out.append(_family(
+        "wedge projection naturality", naturality(), "(m,n,n')=({},{},{}) psi={}".format
+    ))
     return out
 
 
 def _partial_wedge_checks(m_max, n_max):
-    out = []
-    chain_failures = []
-    checks = 0
-    for m in range(m_max + 1):
-        for n in range(n_max + 1):
+    def maps_endpoints_absorption():
+        for m, n in itertools.product(range(m_max + 1), range(n_max + 1)):
             endo = wedge_projection_endo(m, n)
-            # per phi a chain-map and an absorption check, then two endpoints
-            checks += 2 * len(all_monotone_maps(n, 1)) + 2
             for phi in all_monotone_maps(n, 1):
                 f_phi = partial_wedge_projection(m, n, phi)
-                rep = check_morphism(f_phi)
-                if not rep.ok:
-                    chain_failures.append(f"(m,n)=({m},{n}) phi={phi.image}")
-                if not endo.after(f_phi) == endo:
-                    chain_failures.append(
-                        f"absorption fails (m,n)=({m},{n}) phi={phi.image}"
-                    )
-            ident = partial_wedge_projection(m, n, constant_map(n, 1, 1))
-            if ident != identity_morphism(c_delta(m + 1 + n)):
-                chain_failures.append(f"phi=1 endpoint (m,n)=({m},{n})")
-            if partial_wedge_projection(m, n, constant_map(n, 1, 0)) != endo:
-                chain_failures.append(f"phi=0 endpoint (m,n)=({m},{n})")
-    out.append(
-        _identity(
-            "partial wedge projections: chain maps, endpoints, absorption", chain_failures, checks
-        )
-    )
-    coherence_failures = []
-    instances = 0
-    for m in range(m_max + 1):
-        for n in range(n_max + 1):
-            for n2 in range(n_max + 1):
-                for psi in all_monotone_maps(n2, n):
-                    psi1 = join_maps(identity_map(m), psi)
-                    for phi in all_monotone_maps(n, 1):
-                        instances += 1
-                        lhs = partial_wedge_projection(m, n, phi).after(c_of_map(psi1))
-                        rhs = c_of_map(psi1).after(
-                            partial_wedge_projection(m, n2, phi.compose(psi))
-                        )
-                        if lhs != rhs:
-                            coherence_failures.append(
-                                f"(m,n,n')=({m},{n},{n2}) phi={phi.image} psi={psi.image}"
-                            )
-    out.append(
-        _identity(
-            "partial wedge coherence with final-block operators", coherence_failures, instances
-        )
-    )
-    return out
+                yield ("chain map", m, n, phi.image), check_morphism(f_phi).ok, True
+                yield ("absorption", m, n, phi.image), endo.after(f_phi), endo
+            one, zero = constant_map(n, 1, 1), constant_map(n, 1, 0)
+            ident = identity_morphism(c_delta(m + 1 + n))
+            yield ("phi=1 endpoint", m, n, one.image), partial_wedge_projection(m, n, one), ident
+            yield ("phi=0 endpoint", m, n, zero.image), partial_wedge_projection(m, n, zero), endo
+
+    def coherence():
+        for m in range(m_max + 1):
+            for n, n2, psi in _operators(n_max):
+                psi1 = c_of_map(join_maps(identity_map(m), psi))
+                for phi in all_monotone_maps(n, 1):
+                    lhs = partial_wedge_projection(m, n, phi).after(psi1)
+                    rhs = psi1.after(partial_wedge_projection(m, n2, phi.compose(psi)))
+                    yield (m, n, n2, phi.image, psi.image), lhs, rhs
+
+    return [
+        _family("partial wedge projections: chain maps, endpoints, absorption",
+                maps_endpoints_absorption(), "{} fails at (m,n)=({},{}) phi={}".format),
+        _family("partial wedge coherence with final-block operators",
+                coherence(), "(m,n,n')=({},{},{}) phi={} psi={}".format),
+    ]
 
 
 def _retract_checks_on_nerve(K, m, cap, label):
     """Section/retraction/homotopy identities on actual (unbounded, so complete) nerves."""
-    out = []
     N = nerve(K, cap + m + 1)
-    u = identity_simplicial_map(N)
-    b = N.simplices(m)[0]
-    data = slice_retract_data(u, b, m)
-    r, s = data.retraction, data.section
-    rs_failures = []
-    sr_failures = []
-    hom_failures = []
-    square_failures = []
-    levels = range(min(data.big.cap, cap) + 1)
-    small_pairs = sum(len(data.small.simplices(n)) for n in levels)
-    big_pairs = sum(len(data.big.simplices(n)) for n in levels)
-    for n in levels:
-        for pair in data.small.simplices(n):
-            if r(n, s(n, pair)) != pair:
-                rs_failures.append(f"{label}: r.s misses at level {n}")
-            lhs = data.homotopy(constant_map(n, 1, 0), s(n, pair))
-            if lhs != s(n, r(n, s(n, pair))):
-                square_failures.append(f"{label}: strong square at level {n}")
-        for pair in data.big.simplices(n):
-            if data.homotopy(constant_map(n, 1, 1), pair) != pair:
-                hom_failures.append(f"{label}: h(1) != id at level {n}")
-            if data.homotopy(constant_map(n, 1, 0), pair) != s(n, r(n, pair)):
-                sr_failures.append(f"{label}: h(0) != s.r at level {n}")
-    out.append(_identity(f"retraction has section on {label}", rs_failures, small_pairs))
-    out.append(_identity(
-        f"homotopy endpoints on {label}", hom_failures + sr_failures, 2 * big_pairs
-    ))
-    out.append(_identity(f"strong retract square on {label}", square_failures, small_pairs))
-    for name, f, space in (("section", s, data.small), ("retraction", r, data.big)):
-        through = min(space.cap, cap)
-        failures = simplicial_map_failures(f, through)
-        instances = sum(
-            len(all_monotone_maps(k, n)) * len(space.simplices(n))
-            for n in range(through + 1)
-            for k in range(through + 1)
-        )
-        out.append(IdentityResult(f"{name} is simplicial on {label}", not failures, instances))
-    h_failures = []
-    instances = 0
-    for n in range(min(data.big.cap, cap)):
-        for psi in all_monotone_maps(n, n + 1):
-            for phi in all_monotone_maps(n + 1, 1):
-                for pair in data.big.simplices(n + 1):
-                    instances += 1
-                    lhs = data.big.act(psi, data.homotopy(phi, pair))
-                    rhs = data.homotopy(phi.compose(psi), data.big.act(psi, pair))
-                    if lhs != rhs:
-                        h_failures.append(f"{label}: homotopy not simplicial")
-    out.append(_identity(f"homotopy is simplicial on {label}", h_failures, instances))
-    return out
+    data = slice_retract_data(identity_simplicial_map(N), N.simplices(m)[0], m)
+    r, s, h, big = data.retraction, data.section, data.homotopy, data.big
+    top = min(big.cap, cap)
+
+    def simplices(space):
+        return ((n, x) for n in range(top + 1) for x in space.simplices(n))
+
+    def endpoints():
+        for n, pair in simplices(big):
+            yield ("h(1) != id", n), h(constant_map(n, 1, 1), pair), pair
+            yield ("h(0) != s.r", n), h(constant_map(n, 1, 0), pair), s(n, r(n, pair))
+
+    def homotopy_commutations():
+        for n in range(top):
+            for psi in all_monotone_maps(n, n + 1):
+                for phi in all_monotone_maps(n + 1, 1):
+                    for pair in big.simplices(n + 1):
+                        lhs = big.act(psi, h(phi, pair))
+                        yield (n + 1, psi.image), lhs, h(phi.compose(psi), big.act(psi, pair))
+
+    families = [
+        ("retraction has section", (
+            ((n,), r(n, s(n, pair)), pair) for n, pair in simplices(data.small)
+        ), "r.s misses at level {}"),
+        ("homotopy endpoints", endpoints(), "{} at level {}"),
+        ("strong retract square", (
+            ((n,), h(constant_map(n, 1, 0), s(n, pair)), s(n, r(n, s(n, pair))))
+            for n, pair in simplices(data.small)
+        ), "strong square at level {}"),
+        ("section is simplicial", _commutations(s, min(s.src.cap, cap)),
+         "section does not commute with phi={0.image}"),
+        ("retraction is simplicial", _commutations(r, min(r.src.cap, cap)),
+         "retraction does not commute with phi={0.image}"),
+        ("homotopy is simplicial", homotopy_commutations(),
+         "homotopy not simplicial at level {}, psi={}"),
+    ]
+    return [
+        _family(f"{name} on {label}", cases, f"{label}: {text}".format)
+        for name, cases, text in families
+    ]
 
 
 def verify_suite(m_max, n_max):

@@ -99,6 +99,15 @@ def all_monotone_maps(m, n):
     ]
 
 
+def _operators(bound):
+    """(n, m, phi) for every monotone map phi: Delta(m) -> Delta(n) with
+    m, n <= bound, n outermost, then m."""
+    for n in range(bound + 1):
+        for m in range(bound + 1):
+            for phi in all_monotone_maps(m, n):
+                yield n, m, phi
+
+
 def join_maps(phi, psi):
     """Block-sum map Delta(m'+1+n') -> Delta(m+1+n): phi, then psi shifted by m+1."""
     image = phi.image + tuple(phi.dst + 1 + v for v in psi.image)

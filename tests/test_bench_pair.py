@@ -72,3 +72,19 @@ def test_a_seed_with_an_incorrect_side_is_left_out_of_the_pairs():
     assert cold["parent_median"] == pytest.approx(1.1)
     assert cold["change_median"] == pytest.approx(0.85)
     assert cold["change_lower_on"] == 2
+
+
+def test_src_lines_counts_the_python_files_under_src(tmp_path):
+    files = {  # path -> lines, in two trees
+        "parent/src/pkg/a.py": 3, "parent/src/pkg/sub/b.py": 2, "parent/src/pkg/c.txt": 7,
+        "parent/tests/test_a.py": 5, "change/src/pkg/a.py": 1,
+    }
+    for name, count in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("x = 1\n" * count)
+    assert bench_pair.src_lines(tmp_path / "parent") == 5
+    assert bench_pair.src_lines(str(tmp_path / "change")) == 1
+    assert bench_pair.src_lines(ROOT) == sum(
+        len(path.read_text().splitlines()) for path in (ROOT / "src").rglob("*.py")
+    )

@@ -8,6 +8,7 @@ import pathlib
 import pytest
 
 from steiner_lab.cli import run
+from steiner_lab.retract import verify_suite
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 TRIANGLE = str(GOLDEN / "triangle.json")
@@ -53,3 +54,14 @@ THEOREM_A_2_3_SHA256 = "ad94269c1d25cb1a3fa531b06119bdab6c4db6e5a98c1d6773fe605e
 def test_theorem_a_2_3_output_digest():
     out = capture(["verify", "theorem-a", "--m-max", "2", "--n-max", "3"])
     assert hashlib.sha256(out.encode()).hexdigest() == THEOREM_A_2_3_SHA256
+
+
+# sha256 of one "name<TAB>passed<TAB>instances" line per result of
+# verify_suite(2, 3), in report order: the output digest above holds only
+# names and pass flags, this one also every family's instance count
+SUITE_2_3_COUNTS_SHA256 = "7b0cdd0b6a02d86e4c595069023ffb473ea378b97667fa4ce8c5166e2616150d"
+
+
+def test_verify_suite_2_3_counts_digest():
+    text = "".join(f"{r.name}\t{r.passed}\t{r.instances}\n" for r in verify_suite(2, 3).results)
+    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_2_3_COUNTS_SHA256

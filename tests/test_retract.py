@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 from math import comb
 
 import pytest
@@ -20,13 +22,15 @@ from steiner_lab import (
     wedge_projection,
     wedge_projection_endo,
 )
+from steiner_lab.chains import AdcMorphism
 from steiner_lab.nerves import (
+    SimplicialMap,
     enumerate_morphisms,
     identity_simplicial_map,
     simplicial_map_failures,
 )
 from steiner_lab import retract
-from steiner_lab.retract import attachment_pushout
+from steiner_lab.retract import IdentityResult, attachment_pushout
 from steiner_lab.simplex import (
     MonotoneMap,
     all_monotone_maps,
@@ -183,7 +187,101 @@ def test_cone_checks_report_the_instances_reached(monkeypatch):
     failed = retract._cone_checks(1)[-1]
     # psi runs over Delta(0) -> Delta(0), Delta(1) -> Delta(0), the two maps
     # Delta(0) -> Delta(1), then (0, 0) and the identity (0, 1): the 6th of 7
-    assert not failed.passed and failed.instances == 6
+    # fails, and the family still compares the 7th
+    assert failed == IdentityResult(
+        "cone collapse naturality (n, n' <= 1)", False, 7, "n=1, psi=(0, 1)"
+    )
+
+
+def spoiled(f):
+    """f with its first nonzero image of positive degree negated."""
+    k = next(i for i, x in enumerate(f.images) if x.degree > 0 and not x.is_zero)
+    return AdcMorphism(f.source, f.target, f.images[:k] + (-f.images[k],) + f.images[k + 1:])
+
+
+def fault(name, at, wrong):
+    """A fault: retract's ``name`` at the arguments ``at`` returns
+    ``wrong(value)`` instead of its value."""
+
+    def inject(monkeypatch):
+        real = getattr(retract, name)
+        monkeypatch.setattr(
+            retract, name, lambda *args: wrong(real(*args)) if args == at else real(*args)
+        )
+
+    return inject
+
+
+def collapse_level_two(monkeypatch):
+    """A fault: the nerve retraction and section send every 2-simplex where
+    they send the first one."""
+    real = retract.slice_retract_data
+
+    def collapsed(f):
+        first = f.src.simplices(2)[0]
+        return SimplicialMap(f.src, f.dst, lambda n, x: f(n, first if n == 2 else x))
+
+    def data(u, b, m):
+        d = real(u, b, m)
+        return dataclasses.replace(
+            d, retraction=collapsed(d.retraction), section=collapsed(d.section)
+        )
+
+    monkeypatch.setattr(retract, "slice_retract_data", data)
+
+
+CHECKS = {
+    "attachment": lambda: retract._attachment_checks(1, 1),
+    "wedge": lambda: retract._wedge_checks(1, 1),
+    "partial wedge": lambda: retract._partial_wedge_checks(1, 1),
+    "interval nerve": lambda: retract._retract_checks_on_nerve(
+        c_delta(1), 0, 2, "the interval nerve"
+    ),
+}
+SPOILED_ATTACHMENT = fault("cylinder_attachment", (1, 1), spoiled)
+SPOILED_PARTIAL_WEDGE = fault("partial_wedge_projection", (0, 1, identity_map(1)), spoiled)
+FAULTY_FAMILIES = [
+    (SPOILED_ATTACHMENT, "attachment", "cylinder attachment is a chain map (m=1, n=1)",
+     "image of 0,1 is not positive: -(K:0,1)"),
+    (SPOILED_ATTACHMENT, "attachment", "cylinder attachment naturality",
+     "(m,n)=(1,0) phi=(0, 1) psi=(0, 0)"),
+    (fault("initial_inclusion", (1, 1), lambda _: MonotoneMap(1, 3, (0, 2))), "attachment",
+     "cylinder attachment fixes the initial face", "(m,n)=(1,1)"),
+    (fault("join_maps", (identity_map(0), identity_map(1)),
+           lambda _: MonotoneMap(2, 2, (0, 1, 1))),
+     "wedge", "wedge projection naturality", "(m,n,n')=(1,1,1) psi=(0, 1)"),
+    (SPOILED_PARTIAL_WEDGE, "partial wedge",
+     "partial wedge projections: chain maps, endpoints, absorption",
+     "chain map fails at (m,n)=(0,1) phi=(0, 1)"),
+    (SPOILED_PARTIAL_WEDGE, "partial wedge", "partial wedge coherence with final-block operators",
+     "(m,n,n')=(0,1,0) phi=(0, 1) psi=(0,)"),
+    (SPOILED_PARTIAL_WEDGE, "interval nerve", "homotopy is simplicial on the interval nerve",
+     "the interval nerve: homotopy not simplicial at level 1, psi=(0,)"),
+    (fault("partial_wedge_projection", (0, 1, constant_map(1, 1, 0)), spoiled),
+     "interval nerve", "strong retract square on the interval nerve",
+     "the interval nerve: strong square at level 1"),
+    (collapse_level_two, "interval nerve", "retraction has section on the interval nerve",
+     "the interval nerve: r.s misses at level 2"),
+    (collapse_level_two, "interval nerve", "homotopy endpoints on the interval nerve",
+     "the interval nerve: h(0) != s.r at level 2"),
+    (collapse_level_two, "interval nerve", "section is simplicial on the interval nerve",
+     "the interval nerve: section does not commute with phi=(0, 0, 0)"),
+    (collapse_level_two, "interval nerve", "retraction is simplicial on the interval nerve",
+     "the interval nerve: retraction does not commute with phi=(0, 0, 0)"),
+]
+
+
+@pytest.mark.parametrize(
+    "inject,checks,name,counterexample", FAULTY_FAMILIES, ids=[f[2] for f in FAULTY_FAMILIES]
+)
+def test_a_faulty_family_sweeps_every_instance(monkeypatch, inject, checks, name, counterexample):
+    """Under a fault, a family still compares all the instances it compares
+    when it passes, and names its first unequal pair."""
+    passing = {r.name: r for r in CHECKS[checks]()}[name]
+    assert passing.passed and passing.instances > 0
+    inject(monkeypatch)
+    failed = {r.name: r for r in CHECKS[checks]()}[name]
+    assert failed == IdentityResult(name, False, passing.instances, counterexample)
 
 
 def test_suite_report_formats():
@@ -227,16 +325,34 @@ def test_homotopy_endpoints_and_strong_square():
                 assert lhs == data.section(n, pair)
 
 
-def test_homotopy_is_simplicial():
-    data = interval_retract()
+def suite_retract(N, m):
+    """The retract data verify_suite checks on the nerve of Delta(N): at the
+    first m-simplex, through level 2."""
+    nerve_n = nerve(c_delta(N), 2 + m + 1)
+    return slice_retract_data(identity_simplicial_map(nerve_n), nerve_n.simplices(m)[0], m)
+
+
+@pytest.mark.parametrize(
+    "retract_data,instances",
+    [(interval_retract, 109), (lambda: suite_retract(1, 0), 397),
+     (lambda: suite_retract(2, 1), 3654)],
+    ids=["interval at its edge", "interval at a vertex", "triangle at an edge"],
+)
+def test_homotopy_is_simplicial(retract_data, instances):
+    """X(psi) h(phi, x) = h(phi.psi, X(psi) x) for every operator psi:
+    Delta(k) -> Delta(n) with k, n <= 2, degeneracies included, every phi:
+    Delta(n) -> Delta(1) and every n-simplex x of the big slice."""
+    data = retract_data()
     space = data.big
-    for n in range(2):
-        for psi in all_monotone_maps(n, n + 1):
-            for phi in all_monotone_maps(n + 1, 1):
-                for pair in space.simplices(n + 1):
+    compared = 0
+    for n in range(min(2, space.cap) + 1):
+        for k in range(min(2, space.cap) + 1):
+            for psi, phi in itertools.product(all_monotone_maps(k, n), all_monotone_maps(n, 1)):
+                for pair in space.simplices(n):
+                    compared += 1
                     lhs = space.act(psi, data.homotopy(phi, pair))
-                    rhs = data.homotopy(phi.compose(psi), space.act(psi, pair))
-                    assert lhs == rhs
+                    assert lhs == data.homotopy(phi.compose(psi), space.act(psi, pair))
+    assert compared == instances
 
 
 # -- the slice-nerve comparison ---------------------------------------------------

@@ -25,7 +25,7 @@ TEST_ONLY = {
     "chains.py": {"is_loopfree", "is_unitary"},
     "nerves.py": {
         "decalage_homotopy", "over_slice_projection", "simplex_facet",
-        "standard_simplex", "under_slice_projection",
+        "simplicial_map_failures", "standard_simplex", "under_slice_projection",
     },
     "retract.py": {"from_slice_pair", "interval_fold", "to_slice_pair"},
     "serialize.py": {"cell_from_json", "morphism_to_json"},
