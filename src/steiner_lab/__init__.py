@@ -4,16 +4,11 @@ explicit comparison maps between simplex, cylinder and wedge shapes."""
 
 from .chains import (
     AdcMorphism,
-    AtomTableau,
-    BasisElement,
     Chain,
     DirComplex,
     ValidationReport,
-    atom_tableau,
     check_morphism,
     identity_morphism,
-    is_loopfree,
-    is_unitary,
     pos_neg_decompose,
     strong_loopfree_order,
     strong_preorder_is_total,
@@ -27,6 +22,8 @@ from .cells import (
     enumerate_cells,
     identity,
     is_identity_cell,
+    is_loopfree,
+    is_unitary,
     lambda_of_nu,
     map_cell,
     object_cell,
@@ -53,6 +50,7 @@ from .slices import (
     OplaxTransformation,
     SliceCell,
     cylinder_cell,
+    cylinder_fold,
     enumerate_slice_cells,
     identity_oplax,
     oplax_component,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .chains import Chain, atom_tableau
+from .chains import Chain, _toposort, pos_neg_decompose
 from .linalg import abelian_invariants
 from .solve import solve_augmentation, solve_boundary
 
@@ -92,21 +92,47 @@ def object_cell(K, chain):
     return CellTableau(K, (chain,), (chain,))
 
 
+def _atom(K, token):
+    """The double row of a basis element, by iterated sign splitting of d: a
+    cell iff both degree-0 entries have augmentation 1."""
+    x0 = x1 = (K.unit_chain(token),)
+    for _ in range(K.degree_of(token)):
+        x0 = (pos_neg_decompose(K.d(x0[0]))[1],) + x0
+        x1 = (pos_neg_decompose(K.d(x1[0]))[0],) + x1
+    return CellTableau(K, x0, x1)
+
+
 def atom_cell(K, token):
     """The atom of a basis element, as a cell tableau."""
-    atom = atom_tableau(K, token)
-    if not atom.is_cell:
+    atom = _atom(K, token)
+    if not K.e(atom.x0[0]) == K.e(atom.x1[0]) == 1:
         raise ValueError(f"atom of {token!r} is not a cell")
-    return CellTableau(
-        K,
-        tuple(r[0] for r in atom.rows),
-        tuple(r[1] for r in atom.rows),
-    )
+    return atom
+
+
+def is_unitary(K):
+    """True iff the atom of every basis element is a genuine cell."""
+    atoms = (_atom(K, t) for t in K.index)
+    return all(K.e(atom.x0[0]) == K.e(atom.x1[0]) == 1 for atom in atoms)
+
+
+def is_loopfree(K):
+    """Degreewise precedence constraints admit a linear order (cycle detection)."""
+    atoms = [_atom(K, t) for t in K.index]
+    for i in K.degrees():
+        edges = {
+            (a, b)
+            for atom in atoms if atom.dim > i
+            for a in atom.x0[i].support() for b in atom.x1[i].support()
+        }
+        if _toposort(list(K.tokens(i)), edges)[0] is None:
+            return False
+    return True
 
 
 def _source_rows(x0, x1):
     """The two rows of the source of the double row (x0, x1), also the
-    a- and coherence rows of a slice cell's source."""
+    coherence rows of a slice cell's source."""
     return x0[:-1], x1[:-2] + (x0[-2],)
 
 

@@ -25,14 +25,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 
-@dataclass(frozen=True)
-class BasisElement:
-    """A generator of the complex: a token unique within its degree."""
-
-    token: str
-    degree: int
-
-
 _new = tuple.__new__
 _set = object.__setattr__
 _tuple_eq = tuple.__eq__
@@ -517,43 +509,6 @@ def check_morphism(f):
     return ValidationReport(tuple(problems))
 
 
-@dataclass(frozen=True)
-class AtomTableau:
-    """The canonical double row built from a basis element.
-
-    ``rows[k] = (x0_k, x1_k)``; the tableau is a genuine cell of the
-    associated omega-category iff the element is positive (always, for a
-    basis element) and both degree-0 rows have augmentation 1.
-    """
-
-    element: BasisElement
-    rows: tuple[tuple[Chain, Chain], ...]
-    is_cell: bool
-
-
-def atom_tableau(K, element):
-    """Build the atom of a basis element by iterated sign splitting of d."""
-    token = element.token if isinstance(element, BasisElement) else element
-    p = K.degree_of(token)
-    top = K.unit_chain(token)
-    rows = [(top, top)]
-    x0, x1 = top, top
-    for k in range(p, 0, -1):
-        _, x0 = pos_neg_decompose(K.d(x0))
-        x1, _ = pos_neg_decompose(K.d(x1))
-        rows.append((x0, x1))
-    rows.reverse()
-    is_cell = K.e(rows[0][0]) == 1 and K.e(rows[0][1]) == 1
-    return AtomTableau(BasisElement(token, p), tuple(rows), is_cell)
-
-
-def is_unitary(K):
-    """True iff the atom of every basis element is a genuine cell."""
-    return all(
-        atom_tableau(K, t).is_cell for p in K.degrees() for t in K.tokens(p)
-    )
-
-
 def _toposort(nodes, edges):
     """Kahn topological sort; returns (order, unique) or (None, False) on a cycle.
 
@@ -587,29 +542,6 @@ def _toposort(nodes, edges):
     return order, unique
 
 
-def is_loopfree(K):
-    """Degreewise precedence constraints admit a linear order (cycle detection)."""
-    atoms = {
-        (t, p): atom_tableau(K, t)
-        for p in K.degrees()
-        for t in K.tokens(p)
-    }
-    for i in K.degrees():
-        edges = set()
-        for p in K.degrees():
-            if p <= i:
-                continue
-            for t in K.tokens(p):
-                x0, x1 = atoms[(t, p)].rows[i]
-                for a in x0.support():
-                    for b in x1.support():
-                        edges.add((a, b))
-        order, _ = _toposort(list(K.tokens(i)), edges)
-        if order is None:
-            return False
-    return True
-
-
 def _strong_edges(K):
     edges = set()
     for p in K.degrees():
@@ -627,15 +559,13 @@ def _strong_edges(K):
 def strong_loopfree_order(K):
     """A linear extension of the generating precedence relation, if acyclic.
 
-    Returns a tuple of BasisElement witnessing strong loop-freeness, or None
+    Returns a tuple of basis tokens witnessing strong loop-freeness, or None
     when the relation has a cycle.
     """
     cache = K._strong_cache
     if "order" not in cache:
         order, unique = _toposort(list(K.index), _strong_edges(K))
-        cache["order"] = None if order is None else tuple(
-            BasisElement(t, K.degree_of(t)) for t in order
-        )
+        cache["order"] = None if order is None else tuple(order)
         cache["total"] = order is not None and unique
     return cache["order"]
 

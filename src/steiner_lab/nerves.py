@@ -62,9 +62,8 @@ class SimplicialSetTrunc:
     ``complete`` turns False once a level is built that may miss simplices.
     """
 
-    def __init__(self, cap, level_fn, act_fn, label=""):
+    def __init__(self, cap, level_fn, act_fn):
         self.cap = cap
-        self.label = label
         self.complete = True
         self._level_fn = level_fn
         self._act_fn = act_fn
@@ -199,7 +198,6 @@ def standard_simplex(N, cap):
         cap,
         lambda n: all_monotone_maps(n, N),
         lambda phi, x: x.compose(phi),
-        label=f"Delta{N}",
     )
 
 
@@ -316,7 +314,7 @@ def nerve(K, cap, coeff_bound=None):
         y = coded.get(key)
         return register(x.after(c_of_map(phi)), key) if y is None else y
 
-    N = SimplicialSetTrunc(cap, level, act, label=f"N({K!r})")
+    N = SimplicialSetTrunc(cap, level, act)
     return N
 
 
@@ -331,7 +329,7 @@ def simplex_facet(X, x, n, indices):
     return X.act(MonotoneMap(m, n, tuple(indices)), x)
 
 
-def _slice(Y, y, m, face, join, label):
+def _slice(Y, y, m, face, join):
     """The n-simplices are (m+1+n)-simplices yp of Y with ``face(n)`` of yp
     equal to the m-simplex y; psi acts on yp through ``join(psi)``."""
     cap = Y.cap - m - 1
@@ -341,7 +339,6 @@ def _slice(Y, y, m, face, join, label):
         cap,
         lambda n: [yp for yp in Y.simplices(m + 1 + n) if Y.act(face(n), yp) == y],
         lambda psi, yp: Y.act(join(psi), yp),
-        label=label,
     )
 
 
@@ -350,7 +347,7 @@ def under_slice(Y, y, m):
     m-face is y; operators act on the final block."""
     return _slice(
         Y, y, m, lambda n: initial_inclusion(m, n),
-        lambda psi: join_maps(identity_map(m), psi), "under-slice",
+        lambda psi: join_maps(identity_map(m), psi),
     )
 
 
@@ -363,7 +360,7 @@ def over_slice(Y, y, m):
     m-face is y; operators act on the initial block."""
     return _slice(
         Y, y, m, lambda n: final_inclusion(n, m),
-        lambda psi: join_maps(psi, identity_map(m)), "over-slice",
+        lambda psi: join_maps(psi, identity_map(m)),
     )
 
 
@@ -391,7 +388,6 @@ def map_under_slice(u, y, m):
         min(S.cap, X.cap),
         lambda n: _pairs_over_final_face(u, m, n, S.simplices(n)),
         lambda psi, pair: (S.act(psi, pair[0]), X.act(psi, pair[1])),
-        label="relative under-slice",
     )
 
 
@@ -442,10 +438,9 @@ def decalage_homotopy(X, x, n):
 class BisimplicialTrunc:
     """A bisimplicial set known up to caps in each direction."""
 
-    def __init__(self, cap_m, cap_n, level_fn, act_fn, label=""):
+    def __init__(self, cap_m, cap_n, level_fn, act_fn):
         self.cap_m = cap_m
         self.cap_n = cap_n
-        self.label = label
         self._level_fn = level_fn
         self._act_fn = act_fn
         self._levels = {}
@@ -466,7 +461,6 @@ class BisimplicialTrunc:
             cap,
             lambda n: self.simplices(n, n),
             lambda phi, x: self.act(phi, phi, x),
-            label=f"Diag {self.label}",
         )
 
 
@@ -490,7 +484,7 @@ def bisimplicial_comparison(u, cap_m, cap_n):
         yp, x = pair
         return (Y.act(join_maps(phi, psi), yp), X.act(psi, x))
 
-    S = BisimplicialTrunc(cap_m, cap_n, level, act, label="S(u)")
+    S = BisimplicialTrunc(cap_m, cap_n, level, act)
 
     def forget(m, n, pair):
         return pair[1]

@@ -54,7 +54,7 @@ from .simplex import (
     token_simplex,
     vertex_map,
 )
-from .slices import OplaxTransformation
+from .slices import OplaxTransformation, cylinder_fold
 from .tensor import (
     pushout_complex,
     tensor_chains,
@@ -213,26 +213,6 @@ def partial_wedge_projection(m, n, phi):
         ])
 
     return simplex_morphism(m + 1 + n, c_delta(m + 1 + n), image)
-
-
-def interval_fold():
-    """The interval folded through the glued double interval.
-
-    Returns (pushout, morphism): the pushout joins two intervals end to
-    start; the morphism sends the edge to the sum of the two edges.
-    """
-    I = c_delta(1)
-    point = c_delta(0)
-    P = pushout_complex(
-        AdcMorphism(point, I, (Chain.unit(0, "0"),)),
-        AdcMorphism(point, I, (Chain.unit(0, "1"),)),
-    )
-    images = {
-        "0": P.right.apply(Chain.unit(0, "0")),
-        "1": P.left.apply(Chain.unit(0, "1")),
-        "0,1": P.left.apply(Chain.unit(1, "0,1")) + P.right.apply(Chain.unit(1, "0,1")),
-    }
-    return P, AdcMorphism(I, P.complex, images_in_basis_order(I, images))
 
 
 # -- the slice-nerve comparison ------------------------------------------
@@ -429,23 +409,12 @@ def _attachment_checks(m_max, n_max):
 
 def _fold_square_checks(n_max):
     out = []
-    I = c_delta(1)
     for n in range(n_max + 1):
-        Kn = c_delta(n)
         PK = attachment_pushout(0, n)
-        Q = pushout_complex(tensor_injection(I, Kn, "0"), tensor_injection(I, Kn, "1"))
-        T = tensor_complex(I, Kn)
-        images = {}
-        for token, base in zip(Kn.index, Kn.row):
-            start, end = (tensor_chains(Chain.unit(0, e), base) for e in "01")
-            edge = tensor_chains(Chain.unit(1, "0,1"), base)
-            images[tensor_token("0", token)] = Q.right.apply(start)
-            images[tensor_token("1", token)] = Q.left.apply(end)
-            images[tensor_token("0,1", token)] = Q.left.apply(edge) + Q.right.apply(edge)
-        fold_tensor = AdcMorphism(T, Q.complex, images_in_basis_order(T, images))
+        Q, fold = cylinder_fold(c_delta(n))
         bottom = Q.induced(PK.right, PK.left.after(cylinder_to_cone(n)))
         lhs = cylinder_attachment(0, n).after(cylinder_to_cone(n))
-        out.append(_equal_maps(f"interval fold square (n={n})", lhs, bottom.after(fold_tensor)))
+        out.append(_equal_maps(f"interval fold square (n={n})", lhs, bottom.after(fold)))
     return out
 
 

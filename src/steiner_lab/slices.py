@@ -1,16 +1,15 @@
 """Slice omega-categories under an object, and oplax transformations.
 
-Cells of the slice A\\c over a functor u: A -> C are double rows of pairs:
-cells a of A together with coherence cells of C connecting the cone at c.
-Everything is represented through presenting complexes: A = nu(K),
-C = nu(L), u an ADC morphism, and an oplax transformation is a morphism
-out of the cylinder complex interval (x) K with prescribed end restrictions.
-Its end functors, whiskerings and identities are composites with cylinder
-maps: an end's injection, interval (x) f, and the collapsed interval.
-
-The tableau data is redundant (lower rows repeat the boundaries of the
-higher cells) but keeps the source/target/composition formulas symmetric;
-it is validated on construction sites rather than trusted.
+Cells of the slice A\\c over a functor u: A -> C are pairs (a, alpha): a
+cell a of A together with a double row of coherence cells of C connecting
+the cone at c.  The a-cell is stored once; its iterated sources and
+targets are read off its rows.  Everything is represented through
+presenting complexes: A = nu(K), C = nu(L), u an ADC morphism, and an oplax
+transformation is a morphism out of the cylinder complex interval (x) K
+with prescribed end restrictions.  Its end functors, whiskerings and
+identities are composites with cylinder maps: an end's injection,
+interval (x) f, and the collapsed interval; its vertical composite is a
+co-pairing on two cylinders glued end to start, after the fold.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from .cells import (
     _target_rows,
     atom_cell,
     cell_problems,
+    composable,
     compose,
     enumerate_cells,
     identity,
@@ -40,6 +40,7 @@ from .cells import (
 from .simplex import c_delta, c_of_map, constant_map
 from .tensor import (
     left_unitor,
+    pushout_complex,
     tensor_chains,
     tensor_complex,
     tensor_injection,
@@ -147,44 +148,59 @@ def oplax_component(T, a):
     return map_cell(T.h, cylinder_cell(a))
 
 
-def vertical_compose(beta, alpha, K=None):
-    """The vertical composite: fold the two cylinders through the glued interval.
+def cylinder_fold(K):
+    """Two cylinders over K glued end to start, and the fold onto them.
 
-    The composite cylinder restricts to alpha's source on one end and
-    beta's target on the other; its edge component is the sum of the two
-    edge components.
+    Returns (Q, fold): Q is the pushout whose left cylinder starts where the
+    right one ends; fold: interval (x) K -> Q sends the start to the right
+    cylinder's, the end to the left cylinder's, and each edge cell to the
+    sum of its two copies.
     """
-    src = alpha.h.source
-    if beta.h.source != src or beta.h.target != alpha.h.target:
-        raise ValueError("transformations are not stacked over the same complexes")
-    images = tuple(
-        a if token.startswith(tensor_token(INTERVAL_SRC, ""))
-        else b if token.startswith(tensor_token(INTERVAL_TGT, ""))
-        else b + a
-        for token, a, b in zip(src.index, alpha.h.images, beta.h.images)
-    )
-    return OplaxTransformation(AdcMorphism(src, alpha.h.target, images))
+    ends = (INTERVAL_SRC, INTERVAL_TGT)
+    T = cylinder_complex(K)
+    Q = pushout_complex(*(tensor_injection(interval(), K, e) for e in ends))
+    start, end = (tensor_token(e, "") for e in ends)
+    return Q, AdcMorphism(T, Q.complex, tuple(
+        r if token.startswith(start) else l if token.startswith(end) else l + r
+        for token, l, r in zip(T.index, Q.left.images, Q.right.images)
+    ))
+
+
+def vertical_compose(beta, alpha, K):
+    """The vertical composite beta . alpha of transformations between
+    functors out of nu(K): the co-pairing of beta and alpha after the fold.
+    Raises ValueError unless beta starts where alpha ends."""
+    Q, fold = cylinder_fold(K)
+    return OplaxTransformation(Q.induced(beta.h, alpha.h).after(fold))
 
 
 @dataclass(frozen=True)
 class SliceCell:
     """A cell of the slice under c of the functor presented by u: K -> L.
 
-    ``a0[k]``/``a1[k]`` (k = 0..dim) are cells of nu(K); ``t0[k]``/``t1[k]``
-    hold the coherence (k+1)-cells of nu(L) (so index k stores the cell the
-    tableau writes in column k+1).
+    ``a`` is a cell of nu(K); ``t0[k]``/``t1[k]`` (k = 0..dim) hold the
+    coherence (k+1)-cells of nu(L) (so index k stores the cell the tableau
+    writes in column k+1).  ``a0[k]``/``a1[k]`` are the iterated source and
+    target s_k(a), t_k(a); both are a at k = dim.
     """
 
     u: AdcMorphism
     c: Chain
-    a0: tuple[CellTableau, ...]
-    a1: tuple[CellTableau, ...]
+    a: CellTableau
     t0: tuple[CellTableau, ...]
     t1: tuple[CellTableau, ...]
 
     @property
     def dim(self):
-        return len(self.a0) - 1
+        return self.a.dim
+
+    @property
+    def a0(self):
+        return tuple(source_iter(self.a, k) for k in range(self.dim + 1))
+
+    @property
+    def a1(self):
+        return tuple(target_iter(self.a, k) for k in range(self.dim + 1))
 
     def base_object(self):
         return object_cell(self.u.target, self.c)
@@ -201,33 +217,23 @@ def whisker_composite(u, a_cell, coherences):
 
 def slice_problems(cell):
     """Diagnostics for the slice tableau conditions; empty iff valid."""
-    problems = []
     i = cell.dim
     K, L = cell.u.source, cell.u.target
-    rows = (cell.a0, cell.a1, cell.t0, cell.t1)
-    if not all(len(r) == i + 1 for r in rows):
-        raise ValueError("all four rows must have dim+1 entries")
+    if cell.a.complex != K:
+        raise ValueError("the a-cell is not a cell over the source")
+    if not len(cell.t0) == len(cell.t1) == i + 1:
+        raise ValueError("both coherence rows must have dim+1 entries")
+    problems = [f"a: {p}" for p in cell_problems(cell.a)]
     for k in range(i + 1):
-        for a in (cell.a0[k], cell.a1[k]):
-            if a.complex != K or a.dim != k:
-                raise ValueError(f"a-row entry {k} is not a {k}-cell over the source")
-            problems.extend(f"a[{k}]: {p}" for p in cell_problems(a))
         for t in (cell.t0[k], cell.t1[k]):
             if t.complex != L or t.dim != k + 1:
                 raise ValueError(f"coherence entry {k} is not a {k + 1}-cell")
             problems.extend(f"alpha[{k + 1}]: {p}" for p in cell_problems(t))
-    if cell.a0[i] != cell.a1[i]:
-        problems.append("top a-entries differ")
     if cell.t0[i] != cell.t1[i]:
         problems.append("top coherence entries differ")
-    for k in range(1, i + 1):
-        for eps, row in ((0, cell.a0), (1, cell.a1)):
-            if source(row[k]) != cell.a0[k - 1]:
-                problems.append(f"source of a^{eps}_{k} is not a^0_{k - 1}")
-            if target(row[k]) != cell.a1[k - 1]:
-                problems.append(f"target of a^{eps}_{k} is not a^1_{k - 1}")
+    rows = ((cell.a0, cell.t0), (cell.a1, cell.t1))
     for k in range(i + 1):
-        for eps, (a_row, row) in enumerate(((cell.a0, cell.t0), (cell.a1, cell.t1))):
+        for eps, (a_row, row) in enumerate(rows):
             want_source = cell.base_object() if k == 0 else cell.t1[k - 1]
             if source(row[k]) != want_source:
                 problems.append(f"source of alpha^{eps}_{k + 1} is wrong")
@@ -242,31 +248,16 @@ def validate_slice_cell(cell):
 
 
 def slice_source(cell):
-    if cell.dim == 0:
-        raise ValueError("0-cells have no source")
-    return SliceCell(
-        cell.u, cell.c, *_source_rows(cell.a0, cell.a1), *_source_rows(cell.t0, cell.t1)
-    )
+    return SliceCell(cell.u, cell.c, source(cell.a), *_source_rows(cell.t0, cell.t1))
 
 
 def slice_target(cell):
-    if cell.dim == 0:
-        raise ValueError("0-cells have no target")
-    return SliceCell(
-        cell.u, cell.c, *_target_rows(cell.a0, cell.a1), *_target_rows(cell.t0, cell.t1)
-    )
+    return SliceCell(cell.u, cell.c, target(cell.a), *_target_rows(cell.t0, cell.t1))
 
 
 def slice_identity(cell):
-    i = cell.dim
-    return SliceCell(
-        cell.u,
-        cell.c,
-        cell.a0 + (identity(cell.a0[i]),),
-        cell.a1 + (identity(cell.a0[i]),),
-        cell.t0 + (identity(cell.t0[i]),),
-        cell.t1 + (identity(cell.t0[i]),),
-    )
+    top = identity(cell.t0[-1])
+    return SliceCell(cell.u, cell.c, identity(cell.a), cell.t0 + (top,), cell.t1 + (top,))
 
 
 def slice_source_iter(cell, j):
@@ -301,14 +292,14 @@ def slice_compose(x, y, j):
         raise ValueError("slice cells live in different slices")
     if not 0 <= j < i:
         raise ValueError(f"no composition *_{j} in dimension {i}")
-    if not (_joins(x.a0, x.a1, y.a0, y.a1, j) and _joins(x.t0, x.t1, y.t0, y.t1, j)):
+    if not (composable(x.a, y.a, j) and _joins(x.t0, x.t1, y.t0, y.t1, j)):
         raise ValueError(f"cells are not {j}-composable")
 
     def gamma(eps, k):
         # k indexes the stored column: the coherence cell alpha^eps_{k+1}
         x_t = x.t0 if eps == 0 else x.t1
         y_t = y.t0 if eps == 0 else y.t1
-        a_source = (x.a0 if eps == 0 else x.a1)[j + 1] if k == j + 1 else x.a1[j + 1]
+        a_source = (source_iter if eps == 0 and k == j + 1 else target_iter)(x.a, j + 1)
         acc = map_cell(x.u, a_source)
         for l in range(j):
             acc = compose(acc, y.t0[l], l)
@@ -316,15 +307,9 @@ def slice_compose(x, y, j):
         acc = compose(acc, x_t[k], j + 1)
         return acc
 
-    a0 = y.a0[: j + 1] + tuple(
-        compose(x.a0[k], y.a0[k], j) for k in range(j + 1, i + 1)
-    )
-    a1 = x.a1[: j + 1] + tuple(
-        compose(x.a1[k], y.a1[k], j) for k in range(j + 1, i + 1)
-    )
     t0 = y.t0[: j + 1] + tuple(gamma(0, k) for k in range(j + 1, i + 1))
     t1 = x.t1[: j + 1] + tuple(gamma(1, k) for k in range(j + 1, i + 1))
-    return SliceCell(x.u, x.c, a0, a1, t0, t1)
+    return SliceCell(x.u, x.c, compose(x.a, y.a, j), t0, t1)
 
 
 def slice_cell_from_pair(u, c, a, T, x):
@@ -334,15 +319,11 @@ def slice_cell_from_pair(u, c, a, T, x):
     transformation from the constant functor at c to u . a; x is a cell of
     the indexing omega-category.
     """
-    i = x.dim
-    a0, a1, t0, t1 = [], [], [], []
-    for k in range(i + 1):
-        sk, tk = source_iter(x, k), target_iter(x, k)
-        a0.append(map_cell(a, sk))
-        a1.append(map_cell(a, tk))
-        t0.append(oplax_component(T, sk))
-        t1.append(oplax_component(T, tk))
-    return SliceCell(u, c, tuple(a0), tuple(a1), tuple(t0), tuple(t1))
+    t0, t1 = (
+        tuple(oplax_component(T, it(x, k)) for k in range(x.dim + 1))
+        for it in (source_iter, target_iter)
+    )
+    return SliceCell(u, c, map_cell(a, x), t0, t1)
 
 
 def pair_from_slice_family(u, c, shape, family):
@@ -356,7 +337,7 @@ def pair_from_slice_family(u, c, shape, family):
     a_images, h_images = [], {}
     for b, p in shape.graded():
         image = family[atom_cell(shape, b)]
-        a_images.append(image.a0[p].top)
+        a_images.append(image.a.top)
         h_images[tensor_token(INTERVAL_EDGE, b)] = image.t0[p].top
     a = AdcMorphism(shape, K, tuple(a_images))
     const = constant_morphism(shape, L, c)
@@ -385,7 +366,7 @@ def slice_functor(u, v, w, alpha):
     L = w.target
 
     def component(cell, eps, k):
-        a_row = (cell.a0 if eps == 0 else cell.a1)[k]
+        a_row = (source_iter if eps == 0 else target_iter)(cell.a, k)
         t_row = cell.t0 if eps == 0 else cell.t1
         c = cell.c
 
@@ -407,17 +388,21 @@ def slice_functor(u, v, w, alpha):
     def act(cell):
         if cell.u != v:
             raise ValueError("slice cell is not over the left leg")
-        i = cell.dim
-        return SliceCell(
-            w,
-            cell.c,
-            tuple(map_cell(u, cell.a0[k]) for k in range(i + 1)),
-            tuple(map_cell(u, cell.a1[k]) for k in range(i + 1)),
-            tuple(component(cell, 0, k) for k in range(i + 1)),
-            tuple(component(cell, 1, k) for k in range(i + 1)),
+        t0, t1 = (
+            tuple(component(cell, eps, k) for k in range(cell.dim + 1)) for eps in (0, 1)
         )
+        return SliceCell(w, cell.c, map_cell(u, cell.a), t0, t1)
 
     return act
+
+
+def _boundary_rows(a):
+    """The rows of a's iterated sources, then of its iterated targets, each
+    cell's lower row first: the chains of ``a0`` and ``a1``, in that order."""
+    x0, x1, n = a.x0, a.x1, len(a.x0)
+    return [ch for k in range(n) for ch in x0[:k + 1] + x1[:k] + (x0[k],)] + [
+        ch for k in range(n) for ch in x0[:k] + (x1[k],) + x1[:k + 1]
+    ]
 
 
 def enumerate_slice_cells(u, c, dim, coeff_bound=None):
@@ -441,11 +426,11 @@ def enumerate_slice_cells(u, c, dim, coeff_bound=None):
         for a in objects.cells:
             tops, ok = _fillers(L, base, map_cell(u, a), coeff_bound)
             complete &= ok
-            cells.extend(SliceCell(u, c, (a,), (a,), (t,), (t,)) for t in tops)
+            cells.extend(SliceCell(u, c, a, (t,), (t,)) for t in tops)
         return cells, complete
 
     def grow(S, T):
-        a_tops, complete = _fillers(K, S.a0[-1], T.a1[-1], coeff_bound)
+        a_tops, complete = _fillers(K, S.a, T.a, coeff_bound)
         cells = []
         lo = T.t1[-1]
         for a in a_tops:
@@ -455,16 +440,16 @@ def enumerate_slice_cells(u, c, dim, coeff_bound=None):
             tops, ok = _fillers(L, lo, hi, coeff_bound)
             complete &= ok
             cells.extend(
-                SliceCell(u, c, S.a0 + (a,), T.a1 + (a,), S.t0 + (t,), T.t1 + (t,))
+                SliceCell(u, c, a, S.t0 + (t,), T.t1 + (t,))
                 for t in tops
             )
         return cells, complete
 
     return _levels(
         ("slice", u, c, coeff_bound), dim, first,
-        lambda z: (z.a0[:-1], z.a1[:-1], z.t0[:-1], z.t1[:-1]),
+        lambda z: (z.a.x0[:-1], z.a.x1[:-1], z.t0[:-1], z.t1[:-1]),
         grow,
-        lambda z: tuple(
-            ch.coeffs for cell in z.a0 + z.a1 + z.t0 + z.t1 for ch in cell.x0 + cell.x1
+        lambda z: tuple(ch.coeffs for ch in _boundary_rows(z.a)) + tuple(
+            ch.coeffs for cell in z.t0 + z.t1 for ch in cell.x0 + cell.x1
         ),
     )

@@ -65,9 +65,7 @@ def _peel_data(K, p):
     else:
         order = strong_loopfree_order(K)
         if order is not None:
-            rank = {
-                el.token: i for i, el in enumerate(order) if el.degree == p - 1
-            }
+            rank = {t: i for i, t in enumerate(order) if K.degree_of(t) == p - 1}
             coords = sorted(K.tokens(p - 1), key=rank.__getitem__, reverse=True)
             index = {t: r for r, t in enumerate(coords)}
             groups = [[] for _ in coords]

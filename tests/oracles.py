@@ -10,7 +10,8 @@ import itertools
 
 import networkx as nx
 
-from steiner_lab import AdcMorphism, Chain, atom_tableau
+from steiner_lab import AdcMorphism, Chain
+from steiner_lab.cells import _atom
 from steiner_lab.chains import images_in_basis_order
 
 
@@ -93,7 +94,8 @@ def loopfree_by_networkx(K):
         graph.add_nodes_from(K.tokens(i))
         for p in range(i + 1, K.dim + 1):
             for t in K.tokens(p):
-                x0, x1 = atom_tableau(K, t).rows[i]
+                atom = _atom(K, t)
+                x0, x1 = atom.x0[i], atom.x1[i]
                 graph.add_edges_from(itertools.product(x0.support(), x1.support()))
         if not nx.is_directed_acyclic_graph(graph):
             return False

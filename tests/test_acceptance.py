@@ -8,7 +8,6 @@ from oracles import brute_morphisms
 from steiner_lab import (
     Chain,
     atom_cell,
-    atom_tableau,
     c_delta,
     c_of_map,
     check_morphism,
@@ -95,10 +94,10 @@ def test_criterion_2_atom_correctness():
     for K in acceptance_complexes():
         for p in K.degrees():
             for token in K.tokens(p):
-                rows = atom_tableau(K, token).rows
+                atom = atom_cell(K, token)
                 for k in range(1, p + 1):
-                    want = rows[k - 1][1] - rows[k - 1][0]
-                    assert K.d(rows[k][0]) == want and K.d(rows[k][1]) == want
+                    want = atom.x1[k - 1] - atom.x0[k - 1]
+                    assert K.d(atom.x0[k]) == want and K.d(atom.x1[k]) == want
     report(2, started, 60)
 
 

@@ -104,6 +104,6 @@ def test_assembly_column_is_the_vertical_composite(n):
         new_c, _ = assembly_map(u, w, alpha, 0, n, c, a)
         lhs = OplaxTransformation(new_c.after(pi))
         rhs = vertical_compose(
-            precompose_oplax(alpha, a), OplaxTransformation(c.after(pi))
+            precompose_oplax(alpha, a), OplaxTransformation(c.after(pi)), a.source
         )
         assert lhs.h == rhs.h

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from steiner_lab import (
     Chain,
     DirComplex,
-    atom_tableau,
+    atom_cell,
     c_delta,
     check_morphism,
     identity_morphism,
@@ -19,6 +19,7 @@ from steiner_lab import (
     tensor_complex,
     validate_complex,
 )
+from steiner_lab.cells import _atom
 from steiner_lab.chains import _toposort
 from steiner_lab.serialize import morphism_from_json, morphism_to_json
 from steiner_lab.simplex import all_monotone_maps, c_of_map
@@ -321,12 +322,9 @@ def test_morphism_shape_errors():
 # -- atoms -------------------------------------------------------------------
 
 def test_atom_of_the_triangle():
-    atom = atom_tableau(c_delta(2), "0,1,2")
-    assert atom.is_cell
-    x0 = tuple(r[0] for r in atom.rows)
-    x1 = tuple(r[1] for r in atom.rows)
-    assert x0 == (chain(0, {"0": 1}), chain(1, {"0,2": 1}), chain(2, {"0,1,2": 1}))
-    assert x1 == (
+    atom = atom_cell(c_delta(2), "0,1,2")
+    assert atom.x0 == (chain(0, {"0": 1}), chain(1, {"0,2": 1}), chain(2, {"0,1,2": 1}))
+    assert atom.x1 == (
         chain(0, {"2": 1}),
         chain(1, {"0,1": 1, "1,2": 1}),
         chain(2, {"0,1,2": 1}),
@@ -335,8 +333,8 @@ def test_atom_of_the_triangle():
 
 def test_atom_of_a_vertex():
     K = DirComplex([["v"]], {}, {"v": 1})
-    atom = atom_tableau(K, "v")
-    assert atom.is_cell and len(atom.rows) == 1
+    atom = atom_cell(K, "v")
+    assert atom.x0 == atom.x1 == (chain(0, {"v": 1}),)
 
 
 def test_atom_with_augmentation_two_is_not_a_cell():
@@ -345,10 +343,11 @@ def test_atom_with_augmentation_two_is_not_a_cell():
         {"g": chain(0, {"v1": 1, "v2": 1, "w": -1})},
         {"v1": 1, "v2": 1, "w": 1},
     )
-    atom = atom_tableau(K, "g")
-    assert atom.rows[0][0] == chain(0, {"w": 1})
-    assert atom.rows[0][1] == chain(0, {"v1": 1, "v2": 1})
-    assert not atom.is_cell
+    atom = _atom(K, "g")
+    assert atom.x0[0] == chain(0, {"w": 1})
+    assert atom.x1[0] == chain(0, {"v1": 1, "v2": 1})
+    with pytest.raises(ValueError, match="not a cell"):
+        atom_cell(K, "g")
 
 
 @given(st.integers(0, 4), st.data())
@@ -357,10 +356,10 @@ def test_atom_rows_satisfy_the_boundary_identity(n, data):
     K = c_delta(n)
     degree = data.draw(st.integers(0, n))
     token = data.draw(st.sampled_from(list(K.tokens(degree))))
-    atom = atom_tableau(K, token)
+    atom = atom_cell(K, token)
     for k in range(1, degree + 1):
-        for entry in atom.rows[k]:
-            assert K.d(entry) == atom.rows[k - 1][1] - atom.rows[k - 1][0]
+        for entry in (atom.x0[k], atom.x1[k]):
+            assert K.d(entry) == atom.x1[k - 1] - atom.x0[k - 1]
 
 
 # -- basis predicates ---------------------------------------------------------
@@ -422,7 +421,7 @@ def test_strong_order_implies_loopfree(K):
 
 def test_strong_order_is_a_linear_extension():
     K = c_delta(2)
-    order = [el.token for el in strong_loopfree_order(K)]
+    order = strong_loopfree_order(K)
     position = {t: i for i, t in enumerate(order)}
     for p in K.degrees():
         if p == 0:

@@ -3,12 +3,15 @@
 import contextlib
 import hashlib
 import io
+import json
 import pathlib
 
 import pytest
 
+from steiner_lab import c_delta, identity_morphism, tensor_complex
 from steiner_lab.cli import run
-from steiner_lab.retract import verify_suite
+from steiner_lab.retract import verify_suite, wedge_projection
+from steiner_lab.serialize import complex_to_json, morphism_to_json
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 TRIANGLE = str(GOLDEN / "triangle.json")
@@ -65,3 +68,31 @@ SUITE_2_3_COUNTS_SHA256 = "7b0cdd0b6a02d86e4c595069023ffb473ea378b97667fa4ce8c51
 def test_verify_suite_2_3_counts_digest():
     text = "".join(f"{r.name}\t{r.passed}\t{r.instances}\n" for r in verify_suite(2, 3).results)
     assert hashlib.sha256(text.encode()).hexdigest() == SUITE_2_3_COUNTS_SHA256
+
+
+# sha256 of the stdout of `steiner-lab slice` on six runs, concatenated in
+# this order: (morphism, object, --cells), listing 12, 64, 3, 104, 30 and 1
+# slice cells with their a0/a1 and coherence rows
+SLICE_RUNS_SHA256 = "3fef5247212f4983ccb22b99ad620c064a89c95a06517ed2d44b40d77e759581"
+
+
+def test_slice_output_digest(tmp_path):
+    prism = tensor_complex(c_delta(2), c_delta(1))
+    runs = [
+        (identity_morphism(c_delta(2)), "0", 2),
+        (identity_morphism(c_delta(3)), "0", 3),
+        (identity_morphism(c_delta(3)), "2", 2),
+        (identity_morphism(prism), "0(x)0", 3),
+        (wedge_projection(1, 1), "K:0", 2),
+        (wedge_projection(1, 1), "L:2", 3),
+    ]
+    digest, counts = hashlib.sha256(), []
+    for k, (u, obj, cells) in enumerate(runs):
+        K, f = tmp_path / f"K{k}.json", tmp_path / f"u{k}.json"
+        K.write_text(json.dumps(complex_to_json(u.source)))
+        f.write_text(json.dumps(morphism_to_json(u)))
+        out = capture(["slice", str(K), str(f), obj, "--cells", str(cells)])
+        counts.append(json.loads(out)["count"])
+        digest.update(out.encode())
+    assert counts == [12, 64, 3, 104, 30, 1]
+    assert digest.hexdigest() == SLICE_RUNS_SHA256

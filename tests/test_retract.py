@@ -29,7 +29,7 @@ from steiner_lab.nerves import (
     identity_simplicial_map,
     simplicial_map_failures,
 )
-from steiner_lab import retract
+from steiner_lab import retract, slices
 from steiner_lab.retract import IdentityResult, attachment_pushout
 from steiner_lab.simplex import (
     MonotoneMap,
@@ -134,7 +134,8 @@ def test_suite_passes_at_small_bounds():
 
 def test_verify_suite_builds_each_pushout_once(monkeypatch):
     """At m, n <= 1: 4 attachment pushouts, 6 wedge pushouts (two of them
-    for the nerve retracts, at n = 2) and 2 fold-square pushouts."""
+    for the nerve retracts, at n = 2) and 2 fold-square pushouts, the
+    cylinder folds of ``slices.py``."""
     for name in (
         "attachment_pushout", "wedge_pushout", "cylinder_to_cone", "cylinder_attachment",
         "wedge_projection", "wedge_inclusion", "wedge_projection_endo",
@@ -148,6 +149,7 @@ def test_verify_suite_builds_each_pushout_once(monkeypatch):
         return pushout_complex(f, g)
 
     monkeypatch.setattr(retract, "pushout_complex", counting_pushout)
+    monkeypatch.setattr(slices, "pushout_complex", counting_pushout)
     assert verify_suite(1, 1).all_passed
     assert len(built) == 12
 
@@ -440,7 +442,7 @@ def test_comparison_is_simplicial():
 def test_cone_atom_recursion():
     # the atom over a cone tuple is built from the base tuple's atom: the
     # lower rows prepend the cone point to the opposite row one degree down
-    from steiner_lab import atom_tableau
+    from steiner_lab import atom_cell
     from steiner_lab.simplex import simplex_token, token_simplex
 
     for n in (2, 3):
@@ -460,12 +462,12 @@ def test_cone_atom_recursion():
                 tup = token_simplex(token)
                 if tup[0] != 0:
                     continue
-                base = atom_tableau(K, simplex_token(tup[1:]))
-                whole = atom_tableau(K, token)
-                assert whole.rows[0][0] == Chain.unit(0, "0")
-                assert whole.rows[0][1] == base.rows[0][1]
+                base = atom_cell(K, simplex_token(tup[1:]))
+                whole = atom_cell(K, token)
+                assert whole.x0[0] == Chain.unit(0, "0")
+                assert whole.x1[0] == base.x1[0]
                 for r in range(1, p):
-                    assert whole.rows[r][0] == cone(base.rows[r - 1][1])
-                    assert whole.rows[r][1] == base.rows[r][1] + cone(
-                        base.rows[r - 1][0]
+                    assert whole.x0[r] == cone(base.x1[r - 1])
+                    assert whole.x1[r] == base.x1[r] + cone(
+                        base.x0[r - 1]
                     )

@@ -4,6 +4,7 @@ import pytest
 
 from oracles import morphism_from_dict
 from steiner_lab import (
+    AdcMorphism,
     Chain,
     c_delta,
     atom_cell,
@@ -30,7 +31,6 @@ from steiner_lab import (
 )
 from steiner_lab.cells import identity
 from steiner_lab.nerves import enumerate_morphisms, hom_enumerate
-from steiner_lab.retract import interval_fold
 from steiner_lab.simplex import MonotoneMap, face_map
 from steiner_lab.tensor import tensor_chains
 from steiner_lab.slices import (
@@ -41,6 +41,7 @@ from steiner_lab.slices import (
     constant_morphism,
     cylinder_cell,
     cylinder_complex,
+    cylinder_fold,
     pair_from_slice_family,
     precompose_oplax,
     slice_cell_from_pair,
@@ -338,7 +339,7 @@ def test_vertical_composition_exhaustively():
     pairs = 0
     for alpha in ts:
         for beta in by_source.get(alpha.target_functor(K), []):
-            comp = vertical_compose(beta, alpha)
+            comp = vertical_compose(beta, alpha, K)
             assert check_morphism(comp.h).ok
             assert comp.source_functor(K) == alpha.source_functor(K)
             assert comp.target_functor(K) == beta.target_functor(K)
@@ -375,7 +376,7 @@ def test_vertical_composition_matches_pushout_route():
         by_source.setdefault(t.source_functor(K), []).append(t)
     for alpha in ts:
         for beta in by_source.get(alpha.target_functor(K), []):
-            direct = vertical_compose(beta, alpha)
+            direct = vertical_compose(beta, alpha, K)
             routed = Q.induced(beta.h, alpha.h).after(fold)
             assert direct.h == routed
 
@@ -390,8 +391,8 @@ def test_vertical_composition_associativity():
     for alpha in ts:
         for beta in by_source.get(alpha.target_functor(K), []):
             for gamma in by_source.get(beta.target_functor(K), []):
-                lhs = vertical_compose(gamma, vertical_compose(beta, alpha))
-                rhs = vertical_compose(vertical_compose(gamma, beta), alpha)
+                lhs = vertical_compose(gamma, vertical_compose(beta, alpha, K), K)
+                rhs = vertical_compose(vertical_compose(gamma, beta, K), alpha, K)
                 assert lhs == rhs
                 triples += 1
     assert triples > 0
@@ -400,20 +401,51 @@ def test_vertical_composition_associativity():
 def test_vertical_unit():
     K = c_delta(1)
     for alpha in square_to_tetra_transformations():
-        assert vertical_compose(identity_oplax(alpha.target_functor(K)), alpha) == alpha
-        assert vertical_compose(alpha, identity_oplax(alpha.source_functor(K))) == alpha
+        assert vertical_compose(identity_oplax(alpha.target_functor(K)), alpha, K) == alpha
+        assert vertical_compose(alpha, identity_oplax(alpha.source_functor(K)), K) == alpha
 
 
-def test_interval_fold_is_forced():
-    P, fold = interval_fold()
+def test_cylinder_fold_is_forced():
+    P, fold = cylinder_fold(c_delta(0))
+    start, end, edge = (tensor_token(e, "0") for e in (INTERVAL_SRC, INTERVAL_TGT, INTERVAL_EDGE))
     assert check_morphism(fold).ok
-    assert fold.image_of("0") == P.right.apply(Chain.unit(0, "0"))
-    assert fold.image_of("1") == P.left.apply(Chain.unit(0, "1"))
-    want = P.left.apply(Chain.unit(1, "0,1")) + P.right.apply(Chain.unit(1, "0,1"))
-    assert fold.image_of("0,1") == want
-    fixed = {"0": fold.image_of("0"), "1": fold.image_of("1")}
-    candidates, complete = enumerate_morphisms(c_delta(1), P.complex, fixed=fixed)
+    assert fold.image_of(start) == P.right.apply(Chain.unit(0, start))
+    assert fold.image_of(end) == P.left.apply(Chain.unit(0, end))
+    want = P.left.apply(Chain.unit(1, edge)) + P.right.apply(Chain.unit(1, edge))
+    assert fold.image_of(edge) == want
+    fixed = {start: fold.image_of(start), end: fold.image_of(end)}
+    candidates, complete = enumerate_morphisms(fold.source, P.complex, fixed=fixed)
     assert complete and candidates == [fold]
+
+
+def _stacked_by_tokens(beta, alpha):
+    """The vertical composite's cylinder map, token by token: alpha's start,
+    beta's end, and the sum of the two edge components."""
+    images = tuple(
+        a if token.startswith(tensor_token(INTERVAL_SRC, ""))
+        else b if token.startswith(tensor_token(INTERVAL_TGT, ""))
+        else b + a
+        for token, a, b in zip(alpha.h.source.index, alpha.h.images, beta.h.images)
+    )
+    return AdcMorphism(alpha.h.source, alpha.h.target, images)
+
+
+def test_vertical_composition_refuses_unstacked_pairs():
+    # 572 of the 144 * 144 ordered pairs of transformations cyl(cDelta1) ->
+    # cDelta3 are stacked and compose as the token-by-token formula; every
+    # other pair is refused rather than given a map that is not a chain map
+    K = c_delta(1)
+    ts = square_to_tetra_transformations()
+    assert len(ts) == 144
+    stacked = 0
+    for alpha, beta in itertools.product(ts, repeat=2):
+        if beta.source_functor(K) == alpha.target_functor(K):
+            assert vertical_compose(beta, alpha, K).h == _stacked_by_tokens(beta, alpha)
+            stacked += 1
+        else:
+            with pytest.raises(ValueError, match="disagree on the base"):
+                vertical_compose(beta, alpha, K)
+    assert stacked == 572
 
 
 @pytest.mark.parametrize("c", [
@@ -607,8 +639,8 @@ def test_whisker_composites_fail_the_interchange_rule():
     )
     _, h, k, beta = nontrivial_triangle()  # h: long edge, k: (1,2)-edge
     h, k = beta.source_functor(K1), beta.target_functor(K1)
-    one = vertical_compose(OplaxTransformation(k.after(alpha.h)), precompose_oplax(beta, f))
-    two = vertical_compose(precompose_oplax(beta, g), OplaxTransformation(h.after(alpha.h)))
+    one = vertical_compose(OplaxTransformation(k.after(alpha.h)), precompose_oplax(beta, f), K0)
+    two = vertical_compose(precompose_oplax(beta, g), OplaxTransformation(h.after(alpha.h)), K0)
     assert one.source_functor(K0) == two.source_functor(K0)
     assert one.target_functor(K0) == two.target_functor(K0)
     assert one.h != two.h

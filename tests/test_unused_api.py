@@ -21,13 +21,12 @@ FOLDERS = ("src", "tests", "scripts", "perfbench")
 # tests pin the paper's axioms.  A new test-only definition is declared
 # here, or gets a caller.
 TEST_ONLY = {
-    "cells.py": {"composable", "validate_cell"},
-    "chains.py": {"is_loopfree", "is_unitary"},
+    "cells.py": {"is_loopfree", "is_unitary", "validate_cell"},
     "nerves.py": {
         "decalage_homotopy", "over_slice_projection", "simplex_facet",
         "simplicial_map_failures", "standard_simplex", "under_slice_projection",
     },
-    "retract.py": {"from_slice_pair", "interval_fold", "to_slice_pair"},
+    "retract.py": {"from_slice_pair", "to_slice_pair"},
     "serialize.py": {"cell_from_json", "morphism_to_json"},
     "slices.py": {
         "identity_oplax", "pair_from_slice_family", "precompose_oplax",
