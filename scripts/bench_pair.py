@@ -10,10 +10,12 @@ worktree is made and nothing is fetched.  The workloads and the run length
 are read from BENCHMARK.json.  For each workload and seed 1..10,
 ``python3 perfbench/run.py --trace 0`` runs once in each tree, the parent
 first on odd seeds and the change first on even ones.  The output holds,
-per workload and end-to-end metric, the per-seed medians of both sides
-and the median over the seeds, and the ``src/**/*.py`` line count of
-both trees.  A seed on which either side is not
-``correct`` is left out of the pairs and listed; the exit status is then 1.
+per workload and end-to-end metric, the per-seed medians of both sides,
+the median over the seeds and the parent's interquartile range (a gain
+counts only where the medians differ by more than it), and the
+``src/**/*.py`` line count of both trees.  A seed on which either side is
+not ``correct`` is left out of the pairs and listed; the exit status is
+then 1.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ def result_line(stdout):
 def assemble(runs):
     """The pair record from ``runs``: (workload, seed, side, result) tuples,
     ``result`` a perfbench result line.  Per workload and metric, both
-    sides' samples in seed order and their medians, and the seeds on which
-    the change reads lower.  Only seeds on which both sides are ``correct``
-    are paired."""
+    sides' samples in seed order and their medians, the parent's
+    interquartile range, and the seeds on which the change reads lower.
+    Only seeds on which both sides are ``correct`` are paired."""
     by_seed = {}
     for workload, seed, side, result in runs:
         by_seed.setdefault((workload, seed), {})[side] = result
@@ -67,6 +69,8 @@ def assemble(runs):
             parent, change = slot["parent_samples"], slot["change_samples"]
             slot["parent_median"] = statistics.median(parent)
             slot["change_median"] = statistics.median(change)
+            q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else parent * 3
+            slot["parent_iqr"] = q3 - q1
             slot["change_lower_on"] = sum(c < p for p, c in zip(parent, change))
     return out
 

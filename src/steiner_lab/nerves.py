@@ -3,8 +3,9 @@ the shift homotopy, and the bisimplicial comparison object.
 
 Simplicial sets are materialized as finite tables up to a dimension cap;
 simplex records are canonical hashable values (monotone maps, complex
-morphisms, pairs of those), so equality is syntactic.  Operators act
-through a single ``act`` entry point memoized per space.
+morphisms, pairs of those), so equality is syntactic.  A space keeps its
+levels only: ``act`` applies the operator each time it is called, and a
+nerve's codes below are the one memo of an action.
 
 The n-simplices of a nerve are the morphisms out of cDelta(n), found by
 ``enumerate_morphisms``: it grows partial morphisms as tuples of images
@@ -59,6 +60,8 @@ def _through(through, cap):
 class SimplicialSetTrunc:
     """A simplicial set known up to ``cap``: level lists plus the operator action.
 
+    Each level is built once and kept; ``act`` calls ``act_fn`` every time
+    and keeps nothing, so a result lives as long as its caller holds it.
     ``complete`` turns False once a level is built that may miss simplices.
     """
 
@@ -68,25 +71,16 @@ class SimplicialSetTrunc:
         self._level_fn = level_fn
         self._act_fn = act_fn
         self._levels = {}
-        self._act_cache = {}
-        self._intern = {}
 
     def simplices(self, n):
         if not 0 <= n <= self.cap:
             raise ValueError(f"dimension {n} beyond cap {self.cap}")
         if n not in self._levels:
-            level = list(self._level_fn(n))
-            self._levels[n] = [self._intern.setdefault(x, x) for x in level]
+            self._levels[n] = list(self._level_fn(n))
         return self._levels[n]
 
     def act(self, phi, x):
-        key = (phi, x)
-        cached = self._act_cache.get(key)
-        if cached is None:
-            # interning makes equal results one object, so comparing them is cheap
-            result = self._act_fn(phi, x)
-            cached = self._act_cache[key] = self._intern.setdefault(result, result)
-        return cached
+        return self._act_fn(phi, x)
 
     def degenerate(self, n):
         """The degenerate n-simplices (images of degeneracy operators)."""
@@ -307,12 +301,13 @@ def nerve(K, cap, coeff_bound=None):
         return [register(x, tuple(map(ids.__getitem__, x.images)) + zeros) for x in morphisms]
 
     def act(phi, x):
+        c = c_of_map(phi)
         code = codes.get(x)
-        if code is None or phi.src > cap or x.source != c_delta(phi.dst):
-            return x.after(c_of_map(phi))
-        key = c_of_map(phi).plan.gather(code) + zeros
+        if code is None or phi.src > cap or x.source != c.target:
+            return x.after(c)
+        key = c.plan.gather(code) + zeros
         y = coded.get(key)
-        return register(x.after(c_of_map(phi)), key) if y is None else y
+        return register(x.after(c), key) if y is None else y
 
     N = SimplicialSetTrunc(cap, level, act)
     return N

@@ -44,6 +44,7 @@ from .simplex import (
     c_delta,
     c_of_map,
     constant_map,
+    degeneracy_map,
     final_inclusion,
     identity_map,
     initial_inclusion,
@@ -173,15 +174,12 @@ def wedge_projection(m, n):
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)
 def wedge_inclusion(m, n):
-    """The wedge as a subcomplex of the ambient simplex."""
-    P = wedge_pushout(m, n)
-
-    def image(token):
-        side, _, orig = token.partition(":")
-        tup = token_simplex(orig)
-        return simplex_chain(tup if side == "K" else _shift(tup, m))
-
-    return AdcMorphism(P.complex, c_delta(m + 1 + n), tuple(map(image, P.complex.index)))
+    """The wedge as a subcomplex of the ambient simplex: the co-pairing of
+    the inclusions of Delta(m) onto 0..m and of Delta(1+n) onto m..m+1+n."""
+    onto_final = MonotoneMap(1 + n, m + 1 + n, tuple(range(m, m + 2 + n)))
+    return wedge_pushout(m, n).induced(
+        c_of_map(initial_inclusion(m, n)), c_of_map(onto_final)
+    )
 
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)
@@ -494,12 +492,17 @@ def _retract_checks_on_nerve(K, m, cap, label):
             yield ("h(0) != s.r", n), h(constant_map(n, 1, 0), pair), s(n, r(n, pair))
 
     def homotopy_commutations():
-        for n in range(top):
-            for psi in all_monotone_maps(n, n + 1):
-                for phi in all_monotone_maps(n + 1, 1):
-                    for pair in big.simplices(n + 1):
-                        lhs = big.act(psi, h(phi, pair))
-                        yield (n + 1, psi.image), lhs, h(phi.compose(psi), big.act(psi, pair))
+        """Every map Delta(n) -> Delta(n+1), then every degeneracy
+        Delta(n+1) -> Delta(n), for n < top: with the faces, these generate
+        every operator within the top level."""
+        psis = [psi for n in range(top) for psi in all_monotone_maps(n, n + 1)]
+        psis += [degeneracy_map(n, i) for n in range(top) for i in range(n + 1)]
+        for psi in psis:
+            for pair in big.simplices(psi.dst):
+                moved = big.act(psi, pair)
+                for phi in all_monotone_maps(psi.dst, 1):
+                    lhs = big.act(psi, h(phi, pair))
+                    yield (psi.dst, psi.image), lhs, h(phi.compose(psi), moved)
 
     families = [
         ("retraction has section", (

@@ -41,6 +41,7 @@ def test_assembly_pairs_the_sides_by_seed():
     ]
     record = bench_pair.assemble(runs)
     cold = record["theorem-a"]["cold_s"]
+    assert cold.pop("parent_iqr") == pytest.approx(1.2 - 0.9)  # quartiles of three samples
     assert cold == {
         "unit": "s",
         "seeds": [1, 2, 3],
@@ -72,6 +73,19 @@ def test_a_seed_with_an_incorrect_side_is_left_out_of_the_pairs():
     assert cold["parent_median"] == pytest.approx(1.1)
     assert cold["change_median"] == pytest.approx(0.85)
     assert cold["change_lower_on"] == 2
+
+
+def test_the_parent_spread_is_its_interquartile_range():
+    """Ten seeds with parent cold_s 1.0..1.9: quartiles 1.175 and 1.725
+    (statistics.quantiles' exclusive method); one seed has no spread."""
+    runs = [
+        ("nerve", seed, side, bench_pair.result_line(canned(0.9 + seed / 10, 30.0)))
+        for seed in range(1, 11) for side in bench_pair.SIDES
+    ]
+    cold = bench_pair.assemble(runs)["nerve"]["cold_s"]
+    assert cold["parent_median"] == pytest.approx(1.45)
+    assert cold["parent_iqr"] == pytest.approx(1.725 - 1.175)
+    assert bench_pair.assemble(runs[:2])["nerve"]["cold_s"]["parent_iqr"] == 0
 
 
 def test_src_lines_counts_the_python_files_under_src(tmp_path):

@@ -3,7 +3,8 @@
 A ``functools.lru_cache`` or ``functools.cache`` decorator in ``src/`` must
 pass ``maxsize`` as an integer literal or as a module-level integer
 constant, so a long-lived process holds bounded memory.  No cache is
-exempt.  The cell enumerators keep one level, the last they returned.
+exempt.  The cell enumerators keep one level, the last they returned,
+and a simplicial set keeps its levels but no result of its action.
 """
 
 import ast
@@ -12,7 +13,9 @@ import pathlib
 import weakref
 
 from steiner_lab import c_delta, enumerate_cells
+from steiner_lab.nerves import standard_simplex
 from steiner_lab.serialize import complex_from_json, complex_to_json
+from steiner_lab.simplex import face_map
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "steiner_lab"
@@ -75,3 +78,12 @@ def test_the_kept_level_is_freed_by_the_next_enumeration():
     enumerate_cells(c_delta(1), 1)
     gc.collect()
     assert cell() is None
+
+
+def test_an_act_result_is_freed_once_its_caller_drops_it():
+    D = standard_simplex(2, 2)
+    y = D.act(face_map(2, 0), D.simplices(2)[-1])
+    result = weakref.ref(y)
+    del y
+    gc.collect()
+    assert result() is None

@@ -36,6 +36,7 @@ from steiner_lab.simplex import (
     all_monotone_maps,
     c_of_map,
     constant_map,
+    degeneracy_map,
     final_inclusion,
     identity_map,
 )
@@ -232,12 +233,30 @@ def collapse_level_two(monkeypatch):
     monkeypatch.setattr(retract, "slice_retract_data", data)
 
 
+def swap_degeneracy(monkeypatch):
+    """A fault: the nerve slices act by sigma_1: Delta(2) -> Delta(1) where
+    sigma_0 is asked; no operator Delta(n) -> Delta(n+1) sees it."""
+    real = retract.map_under_slice
+    sigma0, sigma1 = degeneracy_map(1, 0), degeneracy_map(1, 1)
+
+    def swapped(u, y, m):
+        S = real(u, y, m)
+        act = S.act
+        S.act = lambda psi, x: act(sigma1 if psi == sigma0 else psi, x)
+        return S
+
+    monkeypatch.setattr(retract, "map_under_slice", swapped)
+
+
 CHECKS = {
     "attachment": lambda: retract._attachment_checks(1, 1),
     "wedge": lambda: retract._wedge_checks(1, 1),
     "partial wedge": lambda: retract._partial_wedge_checks(1, 1),
     "interval nerve": lambda: retract._retract_checks_on_nerve(
         c_delta(1), 0, 2, "the interval nerve"
+    ),
+    "triangle nerve": lambda: retract._retract_checks_on_nerve(
+        c_delta(2), 1, 2, "the triangle nerve"
     ),
 }
 SPOILED_ATTACHMENT = fault("cylinder_attachment", (1, 1), spoiled)
@@ -259,6 +278,8 @@ FAULTY_FAMILIES = [
      "(m,n,n')=(0,1,0) phi=(0, 1) psi=(0,)"),
     (SPOILED_PARTIAL_WEDGE, "interval nerve", "homotopy is simplicial on the interval nerve",
      "the interval nerve: homotopy not simplicial at level 1, psi=(0,)"),
+    (swap_degeneracy, "triangle nerve", "homotopy is simplicial on the triangle nerve",
+     "the triangle nerve: homotopy not simplicial at level 1, psi=(0, 0, 1)"),
     (fault("partial_wedge_projection", (0, 1, constant_map(1, 1, 0)), spoiled),
      "interval nerve", "strong retract square on the interval nerve",
      "the interval nerve: strong square at level 1"),
