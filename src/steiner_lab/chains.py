@@ -15,7 +15,7 @@ chains of each degree.  A morphism stores its images as one tuple in its
 source's basis order, and derives once a plan placing each image in the
 target's row, with the images of several terms listed apart.  Composition
 is then a gather of the left factor's images through the right factor's
-plan, plus one accumulation per listed image.
+plan, plus one ``_sum`` per listed image, which shares a lone summand.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ class Chain(tuple):
             return self
         if not self[1]:
             return other
-        return _combine(self[0], ((1, self[1]), (1, other[1])))
+        return _sum(self[0], ((0, 1), (1, 1)), (self, other))
 
     def __neg__(self):
         return Chain(self.degree, tuple((t, -c) for t, c in self.coeffs))
@@ -113,7 +113,7 @@ class Chain(tuple):
             raise ValueError(f"degree mismatch: {self[0]} - {other[0]}")
         if not other[1]:
             return self
-        return _combine(self[0], ((1, self[1]), (-1, other[1])))
+        return _sum(self[0], ((0, 1), (1, -1)), (self, other))
 
     def __rmul__(self, k):
         k = int(k)
@@ -152,6 +152,27 @@ def _combine(degree, terms):
             acc[t] = get(t, 0) + c * k
     items = sorted([tk for tk in acc.items() if tk[1]])
     return _new(Chain, (degree, tuple(items))) if items else Chain.zero(degree)
+
+
+def _sum(degree, terms, row):
+    """sum(c * row[s]) over the (s, c) pairs of ``terms``, zero summands
+    dropped: a lone summand of coefficient 1 is returned itself, two
+    single-term ones of coefficient 1 on distinct tokens are put in token
+    order, else _combine."""
+    if len(terms) > 2:
+        terms = [sc for sc in terms if row[sc[0]][1]]
+    if len(terms) == 2:  # the common case: zeros are dropped without a list
+        (s, c), (r, k) = terms
+        xs, ys = row[s][1], row[r][1]
+        if xs and ys:
+            if c == k == 1 and len(xs) == len(ys) == 1 and xs[0][0] != ys[0][0]:
+                a, b = xs[0], ys[0]
+                return _new(Chain, (degree, (a, b) if a[0] < b[0] else (b, a)))
+            return _combine(degree, ((c, xs), (k, ys)))
+        terms = ((s, c),) if xs else ((r, k),) if ys else ()
+    if len(terms) == 1 and terms[0][1] == 1:
+        return row[terms[0][0]]
+    return _combine(degree, [(c, row[s][1]) for s, c in terms]) if terms else Chain.zero(degree)
 
 
 def pos_neg_decompose(x):
@@ -376,7 +397,7 @@ class AdcMorphism:
     at ``len(target) + p``.  Any other image, of several terms or another
     coefficient, is listed apart as ``(i, degree, terms)``, its terms as
     (position, coefficient) pairs.  ``f.after(g)`` gathers f's images
-    through g's plan, then sums each listed image of g once.
+    through g's plan, then sums each listed image of g once by ``_sum``.
     """
 
     __slots__ = ("source", "target", "images", "_plan", "_hash")
@@ -418,12 +439,12 @@ class AdcMorphism:
         images, index = self.images, self.source.index
         if len(items) == 1 and items[0][1] == 1:
             return images[index[items[0][0]]]
-        return _combine(chain[0], [(c, images[index[t]][1]) for t, c in items])
+        return _sum(chain[0], [(index[t], c) for t, c in items], images)
 
     def after(self, other):
         """Composite self . other (apply ``other`` first): a gather of
-        self's images through other's plan, then one accumulation per image
-        of other with several terms."""
+        self's images through other's plan, then one ``_sum`` of self's
+        images per listed image of other."""
         if other.target != self.source:
             raise ValueError("composition mismatch")
         gather, _, multi = other.plan
@@ -432,7 +453,7 @@ class AdcMorphism:
         if multi:
             images = list(images)
             for i, p, terms in multi:
-                images[i] = _combine(p, [(c, row[s][1]) for s, c in terms])
+                images[i] = _sum(p, terms, row)
             images = tuple(images)
         return AdcMorphism(other.source, self.target, images)
 

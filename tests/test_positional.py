@@ -4,9 +4,10 @@ Seeded random maps (not chain maps) between small complexes come in two
 kinds: plain ones, whose images are all basis chains or zero, and ones with
 images of several terms or another coefficient.  Composites, applications,
 co-pairings, equality, hashing and JSON are checked against oracles that
-read images token by token; counting ``chains._combine`` pins that plain
-plans compose by gathers alone and that each image of several terms is
-summed once.
+read images token by token, and hand-built images hit each branch of the
+summing rule ``chains._sum``.  Counting ``_sum`` pins that plain plans
+compose by gathers alone and that each image of several terms is summed
+once.
 """
 
 import itertools
@@ -118,21 +119,70 @@ def test_a_dict_naming_an_unknown_token_is_refused():
         images_in_basis_order(FREE, {"a": Chain.unit(0, "a"), "zz": Chain.unit(0, "a")})
 
 
-@pytest.fixture
-def combine_calls(monkeypatch):
-    """The degrees of the ``chains._combine`` calls made from here on."""
+def counter(monkeypatch, name):
+    """The degrees of the calls of ``chains.<name>`` made from here on."""
     calls = []
-    combine = chains._combine
+    real = getattr(chains, name)
 
-    def counting(degree, terms):
+    def counting(degree, *args):
         calls.append(degree)
-        return combine(degree, terms)
+        return real(degree, *args)
 
-    monkeypatch.setattr(chains, "_combine", counting)
+    monkeypatch.setattr(chains, name, counting)
     return calls
 
 
-def test_plain_plans_compose_by_gathers_alone(combine_calls):
+@pytest.fixture
+def sum_calls(monkeypatch):
+    return counter(monkeypatch, "_sum")
+
+
+@pytest.fixture
+def combine_calls(monkeypatch):
+    return counter(monkeypatch, "_combine")
+
+
+# f: SUMMANDS -> M, and the images under g of the tokens k0, k1, ... of
+# BRANCHES, one per branch of ``_sum``: (case, terms, summed by _combine).
+M = DirComplex([["a", "b", "c"]], {}, {})
+SUMMANDS = DirComplex([["o", "p", "q", "r", "s", "t", "u"]], {}, {})
+F_IMAGES = {"o": [], "p": [], "q": [("a", 1)], "r": [("c", 1)], "s": [("a", -1)],
+            "t": [("a", 1), ("b", 2)], "u": [("b", 1)]}
+BRANCHES = [
+    ("zero + zero", [("o", 1), ("p", 1)], False),
+    ("zero + basis", [("p", 1), ("q", 1)], False),
+    ("two basis chains in token order", [("q", 1), ("r", 1)], False),
+    ("two basis chains against token order", [("r", 1), ("u", 1)], False),
+    ("equal tokens that cancel", [("q", 1), ("s", 1)], True),
+    ("a coefficient other than 1", [("q", 2), ("r", 1)], True),
+    ("a lone summand of coefficient 2", [("o", 1), ("q", 2)], True),
+    ("a summand of several terms", [("q", 1), ("t", 1)], True),
+    ("three terms", [("q", 1), ("r", 1), ("u", 1)], True),
+]
+
+
+def test_every_branch_of_the_summing_rule_matches_the_oracles(combine_calls):
+    f = AdcMorphism(SUMMANDS, M, tuple(Chain.make(0, F_IMAGES[t]) for t in tokens(SUMMANDS)))
+    K = DirComplex([[f"k{i}" for i in range(len(BRANCHES))]], {}, {})
+    g = AdcMorphism(K, SUMMANDS, tuple(Chain.make(0, terms) for _, terms, _ in BRANCHES))
+    assert len(g.plan.multi) == len(BRANCHES)
+    combine_calls.clear()
+    composite = f.after(g)
+    assert len(combine_calls) == sum(combined for *_, combined in BRANCHES) == 5
+    assert composite.images == composite_by_make(f, g)
+    for (case, _, combined), x, image in zip(BRANCHES, g.images, composite.images):
+        combine_calls.clear()
+        applied = f.apply(x)
+        assert len(combine_calls) == combined, case
+        assert applied == image == apply_by_make(f, x), case
+    assert [str(x) for x in composite.images] == [
+        "0", "(a)", "(a)+(c)", "(b)+(c)", "0", "2(a)+(c)", "2(a)", "2(a)+2(b)", "(a)+(b)+(c)"
+    ]
+    # the lone survivor of zero + basis is f's image of q itself
+    assert composite.images[1] is f.image_of("q") is f.apply(g.images[1])
+
+
+def test_plain_plans_compose_by_gathers_alone(sum_calls):
     """Composing with c(phi), id (x) c(psi) or a pushout injection, and
     co-pairing such composites, sums no image."""
     cases = []
@@ -141,23 +191,23 @@ def test_plain_plans_compose_by_gathers_alone(combine_calls):
         for phi, psi in itertools.product(all_monotone_maps(m2, m), all_monotone_maps(n2, n)):
             maps = (cylinder_attachment(m, n), attachment_pushout(m, n), attachment_pushout(m2, n2))
             cases.append(maps + (c_of_map(join_maps(phi, psi)), _cylinder_map(psi)))
-    combine_calls.clear()
+    sum_calls.clear()
     for attachment, P, Q, joined, cylinder in cases:
         glue = Q.induced(P.left.after(joined), P.right.after(cylinder))
         attachment.after(joined)
         glue.after(Q.left)
         glue.after(Q.right)
         identity_morphism(P.complex).after(glue)
-    assert len(cases) == 961 and combine_calls == []
+    assert len(cases) == 961 and sum_calls == []
 
 
-def test_images_of_several_terms_are_summed_once_each(combine_calls):
+def test_images_of_several_terms_are_summed_once_each(sum_calls):
     f = cylinder_attachment(2, 3)
     g = identity_morphism(attachment_pushout(2, 3).complex)
     assert len(f.plan.multi) == 45
-    combine_calls.clear()
+    sum_calls.clear()
     assert g.after(f) == f
-    assert len(combine_calls) == 45
+    assert len(sum_calls) == 45
 
 
 def _deleted_code_plan(phi, cap):

@@ -33,6 +33,7 @@ from steiner_lab import retract, slices
 from steiner_lab.retract import IdentityResult, attachment_pushout
 from steiner_lab.simplex import (
     MonotoneMap,
+    _operators,
     all_monotone_maps,
     c_of_map,
     constant_map,
@@ -153,6 +154,23 @@ def test_verify_suite_builds_each_pushout_once(monkeypatch):
     monkeypatch.setattr(slices, "pushout_complex", counting_pushout)
     assert verify_suite(1, 1).all_passed
     assert len(built) == 12
+
+
+def test_attachment_naturality_asks_for_each_cylinder_map_once(monkeypatch):
+    """psi runs outside phi, so each cylinder map is asked for once however
+    many operators psi there are (at (4, 4), 456 against a cache of 256)."""
+    asked = []
+
+    def counting(psi):
+        asked.append(psi)
+        return real(psi)
+
+    real = retract._cylinder_map
+    monkeypatch.setattr(retract, "_cylinder_map", counting)
+    assert all(r.passed for r in retract._attachment_checks(1, 3))
+    operators = [psi for _, _, psi in _operators(3)]
+    assert len(operators) == 121
+    assert asked == operators
 
 
 def _operator_pairs(bound):
