@@ -130,45 +130,46 @@ def is_loopfree(K):
     return True
 
 
-def _source_rows(x0, x1):
-    """The two rows of the source of the double row (x0, x1), also the
-    coherence rows of a slice cell's source."""
-    return x0[:-1], x1[:-2] + (x0[-2],)
+def _source_rows(x0, x1, j):
+    """The two rows of s_j of the double row (x0, x1), also the coherence
+    rows of a slice cell's s_j."""
+    return x0[:j + 1], x1[:j] + (x0[j],)
 
 
-def _target_rows(x0, x1):
-    """The two rows of the target of the double row (x0, x1)."""
-    return x0[:-2] + (x1[-2],), x1[:-1]
+def _target_rows(x0, x1, j):
+    """The two rows of t_j of the double row (x0, x1)."""
+    return x0[:j] + (x1[j],), x1[:j + 1]
 
 
 def source(cell):
-    if cell.dim == 0:
-        raise ValueError("0-cells have no source")
-    return CellTableau(cell.complex, *_source_rows(cell.x0, cell.x1))
+    return source_iter(cell, cell.dim - 1)
 
 
 def target(cell):
-    if cell.dim == 0:
-        raise ValueError("0-cells have no target")
-    return CellTableau(cell.complex, *_target_rows(cell.x0, cell.x1))
+    return target_iter(cell, cell.dim - 1)
 
 
 def identity(cell):
-    zero = Chain.zero(cell.dim + 1)
-    return CellTableau(cell.complex, cell.x0 + (zero,), cell.x1 + (zero,))
+    return CellTableau(cell.complex, *_padded_rows(cell, cell.dim + 1))
 
 
 def source_iter(cell, j):
-    """Iterated source s_j; s_dim is the cell itself."""
-    while cell.dim > j:
-        cell = source(cell)
-    return cell
+    """Iterated source s_j, read off the rows in one step; s_j is the cell
+    itself for j >= dim."""
+    if j < 0:
+        raise ValueError("0-cells have no source")
+    if j >= cell.dim:
+        return cell
+    return CellTableau(cell.complex, *_source_rows(cell.x0, cell.x1, j))
 
 
 def target_iter(cell, j):
-    while cell.dim > j:
-        cell = target(cell)
-    return cell
+    """Iterated target t_j, read off the rows like ``source_iter``."""
+    if j < 0:
+        raise ValueError("0-cells have no target")
+    if j >= cell.dim:
+        return cell
+    return CellTableau(cell.complex, *_target_rows(cell.x0, cell.x1, j))
 
 
 def is_identity_cell(cell):
@@ -182,9 +183,9 @@ def _padded_rows(cell, i):
 
 
 def _joins(x0, x1, y0, y1, j):
-    """Whether s_j of the rows (x0, x1) equals t_j of the rows (y0, y1): s_j
-    keeps x0[:j+1] over x1[:j] + (x0[j],), t_j keeps y0[:j] + (y1[j],) under
-    y1[:j+1]."""
+    """Whether s_j of the rows (x0, x1) equals t_j of the rows (y0, y1), as
+    ``_source_rows``/``_target_rows`` give them, compared entry by entry
+    without building either."""
     return x0[j] == y1[j] and x0[:j] == y0[:j] and x1[:j] == y1[:j]
 
 

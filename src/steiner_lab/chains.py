@@ -20,6 +20,7 @@ plan, plus one ``_sum`` per listed image, which shares a lone summand.
 
 from __future__ import annotations
 
+import heapq
 from collections import namedtuple
 from dataclasses import dataclass
 from operator import itemgetter
@@ -530,12 +531,15 @@ def check_morphism(f):
     return ValidationReport(tuple(problems))
 
 
-def _toposort(nodes, edges):
+def _toposort(nodes, edges, key=None):
     """Kahn topological sort; returns (order, unique) or (None, False) on a cycle.
 
-    ``unique`` is True iff at every step exactly one node was available,
-    i.e. reachability is a total order.
+    Of the nodes whose predecessors are all placed, the next is always the
+    least under ``key``, the node itself by default: basis orders use the
+    default, hom-enumeration its own key.  ``unique`` is True iff at every
+    step exactly one node was available, i.e. reachability is a total order.
     """
+    key = key or (lambda n: n)
     indeg = {n: 0 for n in nodes}
     out = {n: [] for n in nodes}
     for a, b in edges:
@@ -543,21 +547,19 @@ def _toposort(nodes, edges):
             return None, False
         out[a].append(b)
         indeg[b] += 1
-    ready = sorted(n for n in nodes if indeg[n] == 0)
+    ready = [(key(n), n) for n in nodes if indeg[n] == 0]
+    heapq.heapify(ready)
     order = []
     unique = True
     while ready:
         if len(ready) > 1:
             unique = False
-        n = ready.pop(0)
+        n = heapq.heappop(ready)[1]
         order.append(n)
-        created = []
         for m in out[n]:
             indeg[m] -= 1
             if indeg[m] == 0:
-                created.append(m)
-        if created:
-            ready = sorted(ready + created)
+                heapq.heappush(ready, (key(m), m))
     if len(order) != len(nodes):
         return None, False
     return order, unique

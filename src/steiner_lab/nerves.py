@@ -27,11 +27,10 @@ simplex is coded then.
 
 from __future__ import annotations
 
-import heapq
 import operator
 from dataclasses import dataclass
 
-from .chains import AdcMorphism, Chain, _combine, _gather
+from .chains import AdcMorphism, Chain, _combine, _gather, _toposort
 from .simplex import (
     MonotoneMap,
     _operators,
@@ -195,43 +194,21 @@ def standard_simplex(N, cap):
     )
 
 
-def _generator_order(src):
-    """Process each generator as soon as its whole boundary is assigned,
-    preferring high degrees, so face constraints prune the search early."""
-    pending = {}
-    dependents = {}
-    heap = []
-    for p in src.degrees():
-        for token in src.tokens(p):
-            deps = set(src.diff_of(token).support()) if p > 0 else set()
-            pending[token] = deps
-            for dep in deps:
-                dependents.setdefault(dep, []).append(token)
-            if not deps:
-                heapq.heappush(heap, (-p, token))
-    order = []
-    while heap:
-        _, token = heapq.heappop(heap)
-        order.append(token)
-        for other in dependents.get(token, []):
-            deps = pending[other]
-            deps.discard(token)
-            if not deps:
-                heapq.heappush(heap, (-src.degree_of(other), other))
-    return order
-
-
 def enumerate_morphisms(src, dst, fixed=None, coeff_bound=None):
     """All complex morphisms src -> dst, grown one generator at a time.
 
-    ``fixed`` pins images of some source tokens.  A partial morphism is the
-    tuple of its images in generator order.  A generator's candidates, pin
+    ``fixed`` pins images of some source tokens.  Generators are taken in
+    the ``_toposort`` order of the face relation keyed by (-degree, token):
+    each as soon as its whole boundary is placed, high degrees first, so
+    face constraints prune the search early.  A partial morphism is the
+    tuple of its images in that order.  A generator's candidates, pin
     applied, are solved once per distinct tuple of its faces' images.
     Returns (morphisms, complete), the morphisms sorted by images in token order.
     """
     fixed = fixed or {}
     complete = True
-    order = _generator_order(src)
+    edges = [(t, token) for token, p in src.graded() if p for t in src.diff_of(token).support()]
+    order, _ = _toposort(list(src.index), edges, key=lambda t: (-src.degree_of(t), t))
     position = {token: i for i, token in enumerate(order)}
     partials = [()]
     for token in order:

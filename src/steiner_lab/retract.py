@@ -38,7 +38,6 @@ from .nerves import (
     nerve,
 )
 from .simplex import (
-    MonotoneMap,
     _operators,
     all_monotone_maps,
     c_delta,
@@ -176,9 +175,8 @@ def wedge_projection(m, n):
 def wedge_inclusion(m, n):
     """The wedge as a subcomplex of the ambient simplex: the co-pairing of
     the inclusions of Delta(m) onto 0..m and of Delta(1+n) onto m..m+1+n."""
-    onto_final = MonotoneMap(1 + n, m + 1 + n, tuple(range(m, m + 2 + n)))
     return wedge_pushout(m, n).induced(
-        c_of_map(initial_inclusion(m, n)), c_of_map(onto_final)
+        c_of_map(initial_inclusion(m, n)), c_of_map(final_inclusion(m - 1, n + 1))
     )
 
 
@@ -257,7 +255,6 @@ class SliceRetract:
     """
 
     m: int
-    base: AdcMorphism
     big: object
     small: object
     retraction: SimplicialMap
@@ -276,8 +273,7 @@ def slice_retract_data(u, b, m):
 
     def r_fn(n, pair):
         y, x = pair
-        spine = MonotoneMap(1 + n, m + 1 + n, tuple(m + k for k in range(n + 2)))
-        return (y.after(c_of_map(spine)), x)
+        return (y.after(c_of_map(final_inclusion(m - 1, n + 1))), x)
 
     def s_fn(n, pair):
         y_prime, x = pair
@@ -286,7 +282,6 @@ def slice_retract_data(u, b, m):
 
     return SliceRetract(
         m,
-        b,
         big,
         small,
         SimplicialMap(big, small, r_fn),

@@ -130,4 +130,7 @@ def dumps(data):
 
 def load_path(path):
     with open(path) as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None

@@ -248,11 +248,11 @@ def validate_slice_cell(cell):
 
 
 def slice_source(cell):
-    return SliceCell(cell.u, cell.c, source(cell.a), *_source_rows(cell.t0, cell.t1))
+    return slice_source_iter(cell, cell.dim - 1)
 
 
 def slice_target(cell):
-    return SliceCell(cell.u, cell.c, target(cell.a), *_target_rows(cell.t0, cell.t1))
+    return slice_target_iter(cell, cell.dim - 1)
 
 
 def slice_identity(cell):
@@ -261,15 +261,16 @@ def slice_identity(cell):
 
 
 def slice_source_iter(cell, j):
-    while cell.dim > j:
-        cell = slice_source(cell)
-    return cell
+    """Iterated source s_j: the a-cell's, the coherence rows cut alike."""
+    if j >= cell.dim:
+        return cell
+    return SliceCell(cell.u, cell.c, source_iter(cell.a, j), *_source_rows(cell.t0, cell.t1, j))
 
 
 def slice_target_iter(cell, j):
-    while cell.dim > j:
-        cell = slice_target(cell)
-    return cell
+    if j >= cell.dim:
+        return cell
+    return SliceCell(cell.u, cell.c, target_iter(cell.a, j), *_target_rows(cell.t0, cell.t1, j))
 
 
 def slice_iterated_identity(cell, dim):
@@ -398,11 +399,11 @@ def slice_functor(u, v, w, alpha):
 
 def _boundary_rows(a):
     """The rows of a's iterated sources, then of its iterated targets, each
-    cell's lower row first: the chains of ``a0`` and ``a1``, in that order."""
-    x0, x1, n = a.x0, a.x1, len(a.x0)
-    return [ch for k in range(n) for ch in x0[:k + 1] + x1[:k] + (x0[k],)] + [
-        ch for k in range(n) for ch in x0[:k] + (x1[k],) + x1[:k + 1]
-    ]
+    cell's lower row first: the chains of ``a0`` and ``a1``, in that order,
+    read off by ``_source_rows``/``_target_rows`` without building a cell."""
+    x0, x1 = a.x0, a.x1
+    return [ch for rows in (_source_rows, _target_rows) for k in range(len(x0))
+            for row in rows(x0, x1, k) for ch in row]
 
 
 def enumerate_slice_cells(u, c, dim, coeff_bound=None):

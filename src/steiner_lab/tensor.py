@@ -125,12 +125,9 @@ class Pushout:
     generators from u's and from v's.
     """
 
-    base: DirComplex
     complex: DirComplex
     left: AdcMorphism
     right: AdcMorphism
-    left_leg: AdcMorphism
-    right_leg: AdcMorphism
     plan: object = field(compare=False, repr=False)
     glue: tuple = field(compare=False, repr=False)
 
@@ -139,7 +136,7 @@ class Pushout:
             raise ValueError("co-pairing legs have wrong sources")
         if u.target != v.target:
             raise ValueError("co-pairing legs have different targets")
-        # the legs are rigid, so u . left_leg = v . right_leg generator by generator
+        # the legs f, g are rigid, so u . f = v . g generator by generator
         if self.glue[0](u.images) != self.glue[1](v.images):
             raise ValueError("co-pairing legs disagree on the base")
         return AdcMorphism(self.complex, u.target, self.plan(u.images + v.images))
@@ -193,4 +190,4 @@ def pushout_complex(f, g):
     )
     plan = _gather([i for level in sources for i in level])
     glue = (f.plan.gather, g.plan.gather)
-    return Pushout(M, P, left, right, f, g, plan, glue)
+    return Pushout(P, left, right, plan, glue)

@@ -16,6 +16,14 @@ from steiner_lab.cells import composable
 def globularity_failures(cells):
     out = []
     for c in cells:
+        # the closed forms s_j, t_j against the one-step maps applied dim - j times
+        s = t = c
+        for j in reversed(range(c.dim)):
+            s, t = source(s), target(t)
+            if source_iter(c, j) != s:
+                out.append(("s_j=s^(dim-j)", c, j))
+            if target_iter(c, j) != t:
+                out.append(("t_j=t^(dim-j)", c, j))
         if c.dim < 2:
             continue
         if source(source(c)) != source(target(c)):

@@ -437,22 +437,23 @@ def test_strong_order_is_a_linear_extension():
 @given(
     st.integers(1, 6),
     st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=10),
+    st.lists(st.integers(0, 3), min_size=6, max_size=6),
 )
 @settings(max_examples=300, deadline=None)
-def test_toposort_matches_networkx(size, pairs):
+def test_toposort_matches_networkx(size, pairs, levels):
     nodes = [f"v{i}" for i in range(size)]
     edges = {(nodes[a % size], nodes[b % size]) for a, b in pairs}
     graph = nx.DiGraph(edges)
     graph.add_nodes_from(nodes)
-    order, unique = _toposort(nodes, edges)
-    if not nx.is_directed_acyclic_graph(graph):  # a self-loop is a cycle too
-        assert (order, unique) == (None, False)
-        return
-    assert sorted(order) == sorted(nodes)
-    position = {n: i for i, n in enumerate(order)}
-    assert all(position[a] < position[b] for a, b in edges)
-    reference = list(nx.topological_sort(graph))
-    assert unique == all(graph.has_edge(a, b) for a, b in zip(reference, reference[1:]))
+    level = dict(zip(nodes, levels))
+    for key in (None, lambda n: (-level[n], n)):
+        order, unique = _toposort(nodes, edges, key=key)
+        if not nx.is_directed_acyclic_graph(graph):  # a self-loop is a cycle too
+            assert (order, unique) == (None, False)
+            continue
+        assert order == list(nx.lexicographical_topological_sort(graph, key=key))
+        reference = list(nx.topological_sort(graph))
+        assert unique == all(graph.has_edge(a, b) for a, b in zip(reference, reference[1:]))
 
 
 @st.composite

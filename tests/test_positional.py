@@ -23,6 +23,7 @@ from steiner_lab.chains import images_in_basis_order
 from steiner_lab.retract import _cylinder_map, attachment_pushout, cylinder_attachment
 from steiner_lab.serialize import dumps, morphism_from_json, morphism_to_json
 from steiner_lab.simplex import all_monotone_maps, c_of_map, join_maps
+from steiner_lab.tensor import tensor_injection
 
 FREE = DirComplex([["a", "b", "c"], ["e", "f"]], {}, {})
 COMPLEXES = (c_delta(2), tensor_complex(c_delta(1), c_delta(1)), FREE)
@@ -90,7 +91,8 @@ def test_induced_matches_a_dict_built_co_pairing(several):
             for t, image in zip(tokens(leg.source), leg.images):
                 images[image.coeffs[0][0]] = h.image_of(t)
         assert P.induced(u, v) == AdcMorphism(P.complex, X, images_in_basis_order(P.complex, images)) == w
-        glued = P.right.source.index[P.right_leg.images[0].coeffs[0][0]]
+        leg = tensor_injection(c_delta(1), c_delta(n), "0")
+        glued = P.right.source.index[leg.images[0].coeffs[0][0]]
         moved = list(v.images)
         moved[glued] = moved[glued] + Chain.unit(0, "0")
         with pytest.raises(ValueError, match="disagree on the base"):

@@ -459,3 +459,9 @@ def test_cli_usage_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(["adc", "validate", str(bad)]) == 2
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    capsys.readouterr()
+    assert run(["adc", "validate", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -31,7 +31,7 @@ TEST_ONLY = {
     "slices.py": {
         "identity_oplax", "pair_from_slice_family", "precompose_oplax",
         "slice_cell_from_pair", "slice_compose", "slice_functor",
-        "slice_source_iter", "slice_target_iter", "validate_slice_cell",
+        "slice_source", "slice_target", "validate_slice_cell",
         "vertical_compose",
     },
 }
