@@ -11,9 +11,8 @@ are read from BENCHMARK.json.  For each workload and seed 1..10,
 ``python3 perfbench/run.py --trace 0`` runs once in each tree, the parent
 first on odd seeds and the change first on even ones.  The output holds,
 per workload and end-to-end metric, the per-seed medians of both sides,
-the median over the seeds and the parent's interquartile range (a gain
-counts only where the medians differ by more than it), and the
-``src/**/*.py`` line count of both trees.  A seed on which either side is
+the median over the seeds, the parent's interquartile range and whether
+the gain rule is met, and the ``src/**/*.py`` line count of both trees.  A seed on which either side is
 not ``correct`` is left out of the pairs and listed; the exit status is
 then 1.
 """
@@ -46,8 +45,11 @@ def assemble(runs):
     """The pair record from ``runs``: (workload, seed, side, result) tuples,
     ``result`` a perfbench result line.  Per workload and metric, both
     sides' samples in seed order and their medians, the parent's
-    interquartile range, and the seeds on which the change reads lower.
-    Only seeds on which both sides are ``correct`` are paired."""
+    interquartile range, the seeds on which the change reads lower, and
+    ``gain_rule_met``: the change reads lower on at least nine in ten of the
+    pairs, and its median lies below the parent's by more than the parent's
+    interquartile range.  Only seeds on which both sides are ``correct``
+    are paired."""
     by_seed = {}
     for workload, seed, side, result in runs:
         by_seed.setdefault((workload, seed), {})[side] = result
@@ -72,6 +74,10 @@ def assemble(runs):
             q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else parent * 3
             slot["parent_iqr"] = q3 - q1
             slot["change_lower_on"] = sum(c < p for p, c in zip(parent, change))
+            slot["gain_rule_met"] = (
+                10 * slot["change_lower_on"] >= 9 * len(parent)
+                and slot["parent_median"] - slot["change_median"] > slot["parent_iqr"]
+            )
     return out
 
 

@@ -7,10 +7,14 @@ morphisms, pairs of those), so equality is syntactic.  A space keeps its
 levels only: ``act`` applies the operator each time it is called, and a
 nerve's codes below are the one memo of an action.
 
-The n-simplices of a nerve are the morphisms out of cDelta(n), found by
-``enumerate_morphisms``: it grows partial morphisms as tuples of images
-and, since a generator's boundary constraint depends only on the images
-of its faces, solves each generator once per distinct tuple of those.
+The n-simplices of a nerve are the morphisms out of cDelta(n).  Levels 0
+and 1 are found by ``enumerate_morphisms``: it grows partial morphisms as
+tuples of images and, since a generator's boundary constraint depends only
+on the images of its faces, solves each generator once per distinct tuple
+of those.  A level n >= 2 grows from level n-1 by face pairs and fillers:
+an n-simplex is a pair (a, b) of (n-1)-simplices with d_0 a = d_{n-1} b,
+which fixes its images off the 2^(n-1) generators on both vertices 0 and
+n, and those fillers are placed by the same growth step, in degree order.
 
 A nerve simplex x of dimension n is acted on by phi: Delta(m) -> Delta(n)
 through precomposition, ``x.after(c_of_map(phi))``.  A nerve also gives
@@ -34,6 +38,7 @@ from .chains import AdcMorphism, Chain, _combine, _gather, _toposort
 from .simplex import (
     MonotoneMap,
     _operators,
+    _positions,
     all_monotone_maps,
     c_delta,
     c_of_map,
@@ -43,6 +48,7 @@ from .simplex import (
     initial_inclusion,
     final_inclusion,
     join_maps,
+    simplex_token,
 )
 from .solve import solve_augmentation, solve_boundary
 
@@ -106,12 +112,13 @@ class SimplicialSetTrunc:
         degeneracies only; since every operator factors into those, the
         restricted check still implies functoriality for all pairs.
 
-        Each operator is applied once per simplex, through ``act``, into a
+        Each operator is applied once per simplex, through ``act_fn``, into a
         table of ids: the id of a value is a position of it in its level,
         and values outside the level get fresh ids past its end, so equal
         ids mean equal values.
         """
         through = _through(through, self.cap)
+        act = self._act_fn
         levels = [self.simplices(n) for n in range(through + 1)]
         values = [list(level) for level in levels]
         ids = [{x: i for i, x in enumerate(level)} for level in levels]
@@ -127,9 +134,10 @@ class SimplicialSetTrunc:
 
         def table(phi):
             """Ids of X(phi)(x) for x at the positions of level phi.dst."""
-            if phi not in tables:
-                tables[phi] = [ident(phi.src, self.act(phi, x)) for x in levels[phi.dst]]
-            return tables[phi]
+            found = tables.get(phi)
+            if found is None:
+                found = tables[phi] = [ident(phi.src, act(phi, x)) for x in levels[phi.dst]]
+            return found
 
         failures = []
         for n, m, phi in _operators(through):
@@ -147,7 +155,7 @@ class SimplicialSetTrunc:
                 second = table(psi)
                 size = len(second)
                 rhs = [
-                    second[j] if j < size else ident(psi.src, self.act(psi, values[m][j]))
+                    second[j] if j < size else ident(psi.src, act(psi, values[m][j]))
                     for j in first
                 ]
                 if lhs != rhs:
@@ -200,24 +208,34 @@ def enumerate_morphisms(src, dst, fixed=None, coeff_bound=None):
     ``fixed`` pins images of some source tokens.  Generators are taken in
     the ``_toposort`` order of the face relation keyed by (-degree, token):
     each as soon as its whole boundary is placed, high degrees first, so
-    face constraints prune the search early.  A partial morphism is the
-    tuple of its images in that order.  A generator's candidates, pin
-    applied, are solved once per distinct tuple of its faces' images.
-    Returns (morphisms, complete), the morphisms sorted by images in token order.
+    face constraints prune the search early.  Returns (morphisms,
+    complete), the morphisms sorted by images in token order.
     """
-    fixed = fixed or {}
-    complete = True
     edges = [(t, token) for token, p in src.graded() if p for t in src.diff_of(token).support()]
     order, _ = _toposort(list(src.index), edges, key=lambda t: (-src.degree_of(t), t))
     position = {token: i for i, token in enumerate(order)}
-    partials = [()]
-    for token in order:
+    return _grow(src, dst, [()], position, order, fixed or {}, coeff_bound)
+
+
+def _grow(src, dst, partials, position, tokens, fixed, coeff_bound):
+    """Extend each partial morphism src -> dst, read once from ``partials``,
+    by the images of ``tokens``.
+
+    A partial morphism is a tuple of images, ``position`` giving the slot
+    of every source token; ``tokens`` fill the slots past the partials, in
+    order, each after its faces.  A token's candidates, pin applied, are
+    solved once per distinct tuple of its faces' images.  Returns
+    (morphisms, complete), the morphisms sorted by images in token order.
+    """
+    complete = True
+    for token in tokens:
         p = src.degree_of(token)
         pin = fixed.get(token)
         faces = src.diff_of(token).items() if p else ()
         key_of = operator.itemgetter(*[position[t] for t, _ in faces]) if faces else lambda _: ()
         candidates = {}  # face images -> the images of token, as 1-tuples
         grown = []
+        append = grown.append
         for partial in partials:
             key = key_of(partial)
             found = candidates.get(key)
@@ -230,10 +248,11 @@ def enumerate_morphisms(src, dst, fixed=None, coeff_bound=None):
                     result = solve_boundary(dst, p, target, coeff_bound)
                 complete &= result.complete
                 found = candidates[key] = [(z,) for z in result.chains if pin is None or z == pin]
-            grown += [partial + z for z in found]
+            for z in found:
+                append(partial + z)
         partials = grown
-    if order:
-        partials.sort(key=operator.itemgetter(*[position[t] for t in sorted(order)]))
+    if position:
+        partials.sort(key=operator.itemgetter(*[position[t] for t in sorted(position)]))
     in_basis_order = _gather([position[t] for t in src.index])
     return [AdcMorphism(src, dst, in_basis_order(images)) for images in partials], complete
 
@@ -242,6 +261,23 @@ def hom_enumerate(n, K, coeff_bound=None):
     """All morphisms from the chains of the n-simplex into K."""
     morphisms, _ = enumerate_morphisms(c_delta(n), K, coeff_bound=coeff_bound)
     return morphisms
+
+
+def _grown_level(n, K, lower, act, coeff_bound):
+    """Level n >= 2 of the nerve of K from its level n-1, ``lower``: each
+    pair (a, b) with d_0 a = d_{n-1} b, found by grouping b on that face
+    through ``act``, gives a's images, then b's, and ``_grow`` places the
+    fillers, the simplices of cDelta(n) on both vertices 0 and n."""
+    last, first = face_map(n - 1, n - 1), face_map(n - 1, 0)
+    by_face = {}
+    for b in lower:
+        by_face.setdefault(act(last, b), []).append(b.images)
+    pairs = (a.images + b for a in lower for b in by_face.get(act(first, a), ()))
+    face = list(_positions(n - 1))
+    fillers = [simplex_token(t) for t in _positions(n) if t[0] == 0 and t[-1] == n]
+    slots = [simplex_token(t) for t in face] + [simplex_token([v + 1 for v in t]) for t in face]
+    position = {t: i for i, t in enumerate(slots + fillers)}  # a token of a and b: b's slot
+    return _grow(c_delta(n), K, pairs, position, fillers, {}, coeff_bound)
 
 
 class _ChainIds(dict):
@@ -273,14 +309,17 @@ def nerve(K, cap, coeff_bound=None):
         return x
 
     def level(n):
-        morphisms, complete = enumerate_morphisms(c_delta(n), K, coeff_bound=coeff_bound)
+        if n < 2:
+            morphisms, complete = enumerate_morphisms(c_delta(n), K, coeff_bound=coeff_bound)
+        else:
+            morphisms, complete = _grown_level(n, K, N.simplices(n - 1), act, coeff_bound)
         N.complete &= complete
         return [register(x, tuple(map(ids.__getitem__, x.images)) + zeros) for x in morphisms]
 
     def act(phi, x):
         c = c_of_map(phi)
         code = codes.get(x)
-        if code is None or phi.src > cap or x.source != c.target:
+        if code is None or phi.src > cap or x.source is not c.target and x.source != c.target:
             return x.after(c)
         key = c.plan.gather(code) + zeros
         y = coded.get(key)

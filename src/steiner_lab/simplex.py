@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .chains import AdcMorphism, Chain, DirComplex, plan_of
@@ -27,33 +26,45 @@ from .chains import AdcMorphism, Chain, DirComplex, plan_of
 # Distinct monotone maps kept by c_of_map; verify_suite(3, 3) asks for 10,732.
 C_OF_MAP_CACHE_SIZE = 16384
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
 class MonotoneMap:
-    """A weakly increasing map Delta(src) -> Delta(dst), given by its values; hashed once."""
+    """A weakly increasing map Delta(src) -> Delta(dst), given by its values:
+    immutable, hashed once, equal to a map with the same target and values."""
 
-    src: int
-    dst: int
-    image: tuple[int, ...]
+    __slots__ = ("src", "dst", "image", "_hash", "__weakref__")
 
-    def __post_init__(self):
-        if len(self.image) != self.src + 1:
+    def __new__(cls, src, dst, image):
+        if len(image) != src + 1:
             raise ValueError("image list must have src+1 entries")
-        if any(not 0 <= v <= self.dst for v in self.image):
+        if any(not 0 <= v <= dst for v in image):
             raise ValueError("image values out of range")
-        if any(a > b for a, b in zip(self.image, self.image[1:])):
+        if any(a > b for a, b in zip(image, image[1:])):
             raise ValueError("image list must be weakly increasing")
-        self.__dict__["_hash"] = hash((self.src, self.dst, self.image))
+        return cls._trusted(src, dst, image)
 
     @classmethod
     def _trusted(cls, src, dst, image):
         """A map from values already known to be valid, without the checks."""
         phi = object.__new__(cls)
-        phi.__dict__.update(src=src, dst=dst, image=image, _hash=hash((src, dst, image)))
+        _set(phi, "src", src)
+        _set(phi, "dst", dst)
+        _set(phi, "image", image)
+        _set(phi, "_hash", hash((src, dst, image)))
         return phi
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MonotoneMap is immutable")
+
+    def __eq__(self, other):
+        return other.__class__ is MonotoneMap and self.dst == other.dst and self.image == other.image
 
     def __hash__(self):
         return self._hash
+
+    def __repr__(self):
+        return f"MonotoneMap(src={self.src!r}, dst={self.dst!r}, image={self.image!r})"
 
     def __call__(self, k):
         return self.image[k]

@@ -50,6 +50,7 @@ def test_assembly_pairs_the_sides_by_seed():
         "parent_median": 1.0,
         "change_median": 0.8,
         "change_lower_on": 2,
+        "gain_rule_met": False,  # lower on two of three pairs only
     }
     rss = record["theorem-a"]["peak_rss_mib"]
     assert (rss["parent_median"], rss["change_median"], rss["change_lower_on"]) == (30.0, 30.0, 1)
@@ -102,3 +103,25 @@ def test_src_lines_counts_the_python_files_under_src(tmp_path):
     assert bench_pair.src_lines(ROOT) == sum(
         len(path.read_text().splitlines()) for path in (ROOT / "src").rglob("*.py")
     )
+
+
+@pytest.mark.parametrize("drop,higher,met", [
+    (0.7, {3}, True),  # the change median 0.85 lies 0.6 below
+    (0.7, {3, 8}, False),
+    (0.5, set(), False),
+], ids=["lower on nine of ten, by more than the spread", "lower on eight of ten",
+        "lower on all ten, by less than the spread"])
+def test_the_gain_rule_needs_nine_in_ten_pairs_and_a_drop_past_the_spread(drop, higher, met):
+    """Parent cold_s 1.0..1.9 (median 1.45, interquartile range 0.55); the
+    change reads ``drop`` below the parent on each seed but those in
+    ``higher``, where it reads 0.5 above.  peak_rss_mib does not move."""
+    runs = []
+    for seed in range(1, 11):
+        parent = 0.9 + seed / 10
+        change = parent + 0.5 if seed in higher else parent - drop
+        runs.append(("nerve", seed, "parent", bench_pair.result_line(canned(parent, 30.0))))
+        runs.append(("nerve", seed, "change", bench_pair.result_line(canned(change, 30.0))))
+    record = bench_pair.assemble(runs)["nerve"]
+    assert record["cold_s"]["change_lower_on"] == 10 - len(higher)
+    assert record["cold_s"]["gain_rule_met"] is met
+    assert record["peak_rss_mib"]["gain_rule_met"] is False

@@ -627,3 +627,75 @@ def test_nerve_levels_keep_their_order(name, acted_first):
                 for x in top:
                     N.act(phi, x)
     assert _level_digest(N, cap) == expected
+
+
+# (target, cap, coeff_bound, level sizes or None)
+GROWTH_CASES = {
+    "tetrahedron cap 5": (c_delta(3), 5, None, [4, 15, 60, 265, 1316, 7461]),
+    "shuffled prism cap 4": (_shuffled(tensor_complex(c_delta(2), c_delta(1))), 4, None, None),
+    "square cap 4": (tensor_complex(c_delta(1), c_delta(1)), 4, None, None),
+    "two-loop bound 1": (two_loop_complex(), 3, 1, [2, 6, 12, 20]),
+    "two-loop bound 2": (two_loop_complex(), 3, 2, [2, 10, 30, 70]),
+}
+
+
+@pytest.mark.parametrize("acted_first", [False, True], ids=["built", "acted first"])
+@pytest.mark.parametrize("name", GROWTH_CASES)
+def test_grown_levels_equal_hom_enumeration(name, acted_first):
+    """Levels past 1 grow from the level below by face pairs and fillers,
+    yet list the morphisms out of cDelta(n) as hom-enumeration does, in
+    its order, with its completeness flag.  Also when every operator has
+    acted on level 1 first: reading a level builds every level below it,
+    so only there can operators, degeneracies into each level, code
+    simplices of levels not built yet."""
+    K, cap, bound, sizes = GROWTH_CASES[name]
+    N = nerve(K, cap, coeff_bound=bound)
+    if acted_first:
+        for m in range(cap + 1):
+            for phi in all_monotone_maps(m, 1):
+                for x in N.simplices(1):
+                    N.act(phi, x)
+    complete = True
+    for n in range(cap + 1):
+        expected, certified = enumerate_morphisms(c_delta(n), K, coeff_bound=bound)
+        complete &= certified
+        assert N.simplices(n) == expected
+        assert acted_first or N.complete == complete
+    assert N.complete == complete == (bound is None)
+    if sizes:
+        assert [len(N.simplices(n)) for n in range(cap + 1)] == sizes
+
+
+def test_only_levels_zero_and_one_are_enumerated(monkeypatch):
+    sources = []
+    enumerate_ = nerves_module.enumerate_morphisms
+
+    def recording(src, dst, **options):
+        sources.append(src)
+        return enumerate_(src, dst, **options)
+
+    monkeypatch.setattr(nerves_module, "enumerate_morphisms", recording)
+    K = complex_from_json(complex_to_json(c_delta(3)))  # its memo starts empty
+    N = nerve(K, 5)
+    assert [len(N.simplices(n)) for n in range(6)] == [4, 15, 60, 265, 1316, 7461]
+    assert sources == [c_delta(0), c_delta(1)]
+
+
+def test_a_grown_level_solves_only_its_fillers(monkeypatch):
+    """Level n of the cap-4 nerve of Delta3 asks the solver only for the
+    generators of cDelta(n) on both vertices 0 and n: 676 calls for 31
+    targets, where enumerating every level from scratch made 1,770."""
+    calls = {"boundary": 0, "dispatch": 0}
+
+    def counting(kind, solver):
+        def call(*args):
+            calls[kind] += 1
+            return solver(*args)
+        return call
+
+    monkeypatch.setattr(nerves_module, "solve_boundary", counting("boundary", solve.solve_boundary))
+    monkeypatch.setattr(solve, "_dispatch", counting("dispatch", solve._dispatch))
+    K = complex_from_json(complex_to_json(c_delta(3)))
+    N = nerve(K, 4)
+    assert [len(N.simplices(n)) for n in range(5)] == [4, 15, 60, 265, 1316]
+    assert calls == {"boundary": 676, "dispatch": 31}

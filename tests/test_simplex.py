@@ -152,3 +152,19 @@ def test_trusted_maps_equal_validated_ones():
     for phi in all_monotone_maps(1, 2):
         for psi in all_monotone_maps(2, 1):
             assert validated(join_maps(phi, psi)) == join_maps(phi, psi)
+    # a map is its target and values: the same values into a larger simplex differ
+    assert set(map(validated, maps)) == set(maps)
+    for phi in maps:
+        wider = MonotoneMap(phi.src, phi.dst + 1, phi.image)
+        assert wider != phi and phi != wider
+
+
+def test_a_monotone_map_is_an_immutable_value():
+    phi = MonotoneMap(1, 2, (0, 2))
+    for name, value in (("image", (0, 1)), ("src", 0), ("label", "d1")):
+        with pytest.raises(AttributeError):
+            setattr(phi, name, value)
+    assert phi.image == (0, 2) and (phi.src, phi.dst) == (1, 2)
+    assert phi != (1, 2, (0, 2)) and (1, 2, (0, 2)) != phi
+    assert repr(phi) == "MonotoneMap(src=1, dst=2, image=(0, 2))"
+    assert repr(face_map(2, 1)) == repr(phi)
