@@ -26,7 +26,9 @@ of x's code through c(phi)'s plan, followed by the zero ids, and is looked
 up among the coded simplices, so a hit builds, hashes and compares no
 morphism.  Any other value, an operator past the cap or of another
 dimension, and a code not seen yet are composed; a new result from a coded
-simplex is coded then.
+simplex is coded then.  ``act_all`` acts on a list of simplices of one
+level with one lookup of c(phi) and its gather; whole-level callers, the
+functoriality tables of ``identity_failures`` among them, go through it.
 """
 
 from __future__ import annotations
@@ -67,14 +69,17 @@ class SimplicialSetTrunc:
 
     Each level is built once and kept; ``act`` calls ``act_fn`` every time
     and keeps nothing, so a result lives as long as its caller holds it.
+    ``act_all`` acts on a list of simplices of one level, through
+    ``act_all_fn`` when given, else through ``act`` on each.
     ``complete`` turns False once a level is built that may miss simplices.
     """
 
-    def __init__(self, cap, level_fn, act_fn):
+    def __init__(self, cap, level_fn, act_fn, act_all_fn=None):
         self.cap = cap
         self.complete = True
         self._level_fn = level_fn
         self._act_fn = act_fn
+        self._act_all_fn = act_all_fn
         self._levels = {}
 
     def simplices(self, n):
@@ -87,15 +92,17 @@ class SimplicialSetTrunc:
     def act(self, phi, x):
         return self._act_fn(phi, x)
 
+    def act_all(self, phi, xs):
+        """[X(phi)(x) for x in xs], for simplices xs of dimension phi.dst."""
+        if self._act_all_fn is None:
+            return [self.act(phi, x) for x in xs]
+        return self._act_all_fn(phi, xs)
+
     def degenerate(self, n):
         """The degenerate n-simplices (images of degeneracy operators)."""
-        if n == 0:
-            return set()
         out = set()
         for i in range(n):
-            sigma = degeneracy_map(n - 1, i)
-            for y in self.simplices(n - 1):
-                out.add(self.act(sigma, y))
+            out.update(self.act_all(degeneracy_map(n - 1, i), self.simplices(n - 1)))
         return out
 
     def counts(self, through=None):
@@ -112,13 +119,14 @@ class SimplicialSetTrunc:
         degeneracies only; since every operator factors into those, the
         restricted check still implies functoriality for all pairs.
 
-        Each operator is applied once per simplex, through ``act_fn``, into a
-        table of ids: the id of a value is a position of it in its level,
-        and values outside the level get fresh ids past its end, so equal
-        ids mean equal values.
+        Each operator acts once, by ``act_all`` on its whole source level,
+        into a table of ids keyed by its target and values: the id of a
+        value is a position of it in its level, and values outside the level
+        get fresh ids past its end, so equal ids mean equal values.  The
+        composite's table is found by its values before a map is built, and
+        X(psi) after X(phi) is a gather of psi's table through phi's.
         """
         through = _through(through, self.cap)
-        act = self._act_fn
         levels = [self.simplices(n) for n in range(through + 1)]
         values = [list(level) for level in levels]
         ids = [{x: i for i, x in enumerate(level)} for level in levels]
@@ -130,34 +138,49 @@ class SimplicialSetTrunc:
                 values[k].append(y)
             return i
 
-        tables = {}
+        tables = {}  # (phi.dst, phi.image) -> ids of X(phi)(x), x in level phi.dst
 
-        def table(phi):
-            """Ids of X(phi)(x) for x at the positions of level phi.dst."""
-            found = tables.get(phi)
+        def table(phi, key):
+            found = tables.get(key)
             if found is None:
-                found = tables[phi] = [ident(phi.src, act(phi, x)) for x in levels[phi.dst]]
+                src = phi.src
+                found = tables[key] = tuple(
+                    [ident(src, y) for y in self.act_all(phi, levels[phi.dst])]
+                )
             return found
 
         failures = []
+        seconds_of = {}  # m -> [(psi, its table key, the gather of its values)]
         for n, m, phi in _operators(through):
-            if generators_only:
-                seconds = [face_map(m, i) for i in range(m + 1) if m >= 1]
-                if m + 1 <= through:
-                    seconds += [degeneracy_map(m, i) for i in range(m + 1)]
-            else:
-                seconds = [
-                    psi for k in range(min(m + 1, through) + 1) for psi in all_monotone_maps(k, m)
-                ]
-            first = table(phi)
-            for psi in seconds:
-                lhs = table(phi.compose(psi))
-                second = table(psi)
-                size = len(second)
-                rhs = [
-                    second[j] if j < size else ident(psi.src, act(psi, values[m][j]))
-                    for j in first
-                ]
+            seconds = seconds_of.get(m)
+            if seconds is None:
+                if generators_only:
+                    psis = [face_map(m, i) for i in range(m + 1) if m >= 1]
+                    if m + 1 <= through:
+                        psis += [degeneracy_map(m, i) for i in range(m + 1)]
+                else:
+                    psis = [
+                        psi
+                        for k in range(min(m + 1, through) + 1)
+                        for psi in all_monotone_maps(k, m)
+                    ]
+                seconds = seconds_of[m] = [(p, (m, p.image), _gather(p.image)) for p in psis]
+            first = table(phi, (n, phi.image))
+            size = len(levels[m])
+            inside = _gather(first) if all(j < size for j in first) else None
+            for psi, key, pick in seconds:
+                composite = (n, pick(phi.image))
+                lhs = tables.get(composite)
+                if lhs is None:
+                    lhs = table(phi.compose(psi), composite)
+                second = table(psi, key)
+                if inside is not None:
+                    rhs = inside(second)
+                else:
+                    rhs = tuple([
+                        second[j] if j < size else ident(psi.src, self.act(psi, values[m][j]))
+                        for j in first
+                    ])
                 if lhs != rhs:
                     failures.extend(
                         (phi, psi, x) for x, a, b in zip(levels[n], lhs, rhs) if a != b
@@ -263,16 +286,16 @@ def hom_enumerate(n, K, coeff_bound=None):
     return morphisms
 
 
-def _grown_level(n, K, lower, act, coeff_bound):
+def _grown_level(n, K, lower, act_all, coeff_bound):
     """Level n >= 2 of the nerve of K from its level n-1, ``lower``: each
     pair (a, b) with d_0 a = d_{n-1} b, found by grouping b on that face
-    through ``act``, gives a's images, then b's, and ``_grow`` places the
-    fillers, the simplices of cDelta(n) on both vertices 0 and n."""
-    last, first = face_map(n - 1, n - 1), face_map(n - 1, 0)
+    through ``act_all``, gives a's images, then b's, and ``_grow`` places
+    the fillers, the simplices of cDelta(n) on both vertices 0 and n."""
     by_face = {}
-    for b in lower:
-        by_face.setdefault(act(last, b), []).append(b.images)
-    pairs = (a.images + b for a in lower for b in by_face.get(act(first, a), ()))
+    for face, b in zip(act_all(face_map(n - 1, n - 1), lower), lower):
+        by_face.setdefault(face, []).append(b.images)
+    faces = act_all(face_map(n - 1, 0), lower)
+    pairs = (a.images + b for a, face in zip(lower, faces) for b in by_face.get(face, ()))
     face = list(_positions(n - 1))
     fillers = [simplex_token(t) for t in _positions(n) if t[0] == 0 and t[-1] == n]
     slots = [simplex_token(t) for t in face] + [simplex_token([v + 1 for v in t]) for t in face]
@@ -312,20 +335,31 @@ def nerve(K, cap, coeff_bound=None):
         if n < 2:
             morphisms, complete = enumerate_morphisms(c_delta(n), K, coeff_bound=coeff_bound)
         else:
-            morphisms, complete = _grown_level(n, K, N.simplices(n - 1), act, coeff_bound)
+            morphisms, complete = _grown_level(n, K, N.simplices(n - 1), act_all, coeff_bound)
         N.complete &= complete
         return [register(x, tuple(map(ids.__getitem__, x.images)) + zeros) for x in morphisms]
 
-    def act(phi, x):
-        c = c_of_map(phi)
+    def acted(c, gather, x):
+        """x.after(c), for c = c(phi) with phi within the cap, c's plan read by ``gather``."""
         code = codes.get(x)
-        if code is None or phi.src > cap or x.source is not c.target and x.source != c.target:
+        if code is None or x.source is not c.target and x.source != c.target:
             return x.after(c)
-        key = c.plan.gather(code) + zeros
+        key = gather(code) + zeros
         y = coded.get(key)
         return register(x.after(c), key) if y is None else y
 
-    N = SimplicialSetTrunc(cap, level, act)
+    def act(phi, x):
+        c = c_of_map(phi)
+        return x.after(c) if phi.src > cap else acted(c, c.plan.gather, x)
+
+    def act_all(phi, xs):
+        c = c_of_map(phi)
+        if phi.src > cap:
+            return [x.after(c) for x in xs]
+        gather = c.plan.gather
+        return [acted(c, gather, x) for x in xs]
+
+    N = SimplicialSetTrunc(cap, level, act, act_all)
     return N
 
 
@@ -346,11 +380,12 @@ def _slice(Y, y, m, face, join):
     cap = Y.cap - m - 1
     if cap < 0:
         raise ValueError("cap exceeded: the slice needs deeper tables")
-    return SimplicialSetTrunc(
-        cap,
-        lambda n: [yp for yp in Y.simplices(m + 1 + n) if Y.act(face(n), yp) == y],
-        lambda psi, yp: Y.act(join(psi), yp),
-    )
+
+    def level(n):
+        above = Y.simplices(m + 1 + n)
+        return [yp for yp, z in zip(above, Y.act_all(face(n), above)) if z == y]
+
+    return SimplicialSetTrunc(cap, level, lambda psi, yp: Y.act(join(psi), yp))
 
 
 def under_slice(Y, y, m):
@@ -385,8 +420,8 @@ def _pairs_over_final_face(u, m, n, candidates):
     listed by x, then by the order of the candidates."""
     X, Y = u.src, u.dst
     by_final = {}
-    for yp in candidates:
-        by_final.setdefault(Y.act(final_inclusion(m, n), yp), []).append(yp)
+    for face, yp in zip(Y.act_all(final_inclusion(m, n), candidates), candidates):
+        by_final.setdefault(face, []).append(yp)
     return [(yp, x) for x in X.simplices(n) for yp in by_final.get(u(n, x), [])]
 
 

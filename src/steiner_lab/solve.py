@@ -15,7 +15,9 @@ backtrack, and each solution is built directly in canonical form.
 
 When no such certificate exists (cyclic precedence, zero differentials,
 non-positive augmentations) enumeration falls back to a bounded search and
-the result is flagged as possibly incomplete.
+the result is flagged as possibly incomplete.  A coefficient bound on a
+certified solve drops the solutions above it, and flags the result so
+whenever it drops one.
 
 Cell, slice and nerve enumerations ask the same question many times, so each
 complex keeps its answers in ``K._strong_cache["solved"]``, keyed by degree,
@@ -163,7 +165,7 @@ def solve_boundary(K, p, target, bound=None):
 
     ``target`` is a degree-(p-1) chain.  Returns a SolveResult whose
     ``complete`` flag certifies that no solution exists outside the returned
-    list (after the optional coefficient bound has been applied).
+    list, so a coefficient bound that drops a solution clears it.
     """
     if p < 1:
         raise ValueError("use solve_augmentation in degree 0")
@@ -205,11 +207,11 @@ def _dispatch(K, p, target, bound):
         else:
             residual = [target]
         chains = _peel_solve(p, groups, residual)
-        if bound is not None:
-            chains = [
-                z for z in chains if all(c <= bound for _, c in z.items())
-            ]
         complete = True
+        if bound is not None:
+            kept = [z for z in chains if all(c <= bound for _, c in z.items())]
+            complete = len(kept) == len(chains)
+            chains = kept
     else:
         if bound is None:
             raise SolverError(

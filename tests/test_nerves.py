@@ -417,6 +417,46 @@ def test_identity_failures_match_the_triple_loop_oracle(fault, generators_only):
     assert X.identity_failures(3, generators_only=generators_only) == expected
 
 
+@pytest.mark.parametrize("generators_only", [False, True])
+def test_a_fault_on_the_coded_path_matches_the_triple_loop_oracle(monkeypatch, generators_only):
+    """The nerve reads c(d_1) for c(d_0) on Delta2, after its levels are
+    built: its own act and act_all then gather codes through the wrong
+    plan and return another face, a simplex of the level."""
+    N = nerve(c_delta(2), 3)
+    for n in range(4):
+        N.simplices(n)
+    d0, d1 = face_map(2, 0), face_map(2, 1)
+    wrong = c_of_map(d1)
+    monkeypatch.setattr(
+        nerves_module, "c_of_map", lambda phi: wrong if phi == d0 else c_of_map(phi)
+    )
+    top = c_of_map(identity_map(2))
+    assert N.act(d0, top) is N.act(d1, top) and N.act_all(d0, [top]) == [N.act(d1, top)]
+    expected = functoriality_failures(N, 3, generators_only)
+    assert expected
+    assert N.identity_failures(3, generators_only=generators_only) == expected
+
+
+def test_identity_failures_look_each_operator_up_once(monkeypatch):
+    """Once the levels are built, checking every pair of operators on the
+    triangle nerve at cap 3 asks for c(phi) once per table, one per
+    operator, and not once per simplex acted on."""
+    N = nerve(c_delta(2), 3)
+    for n in range(4):
+        N.simplices(n)
+    calls = []
+
+    def counting(phi):
+        calls.append(phi)
+        return c_of_map(phi)
+
+    monkeypatch.setattr(nerves_module, "c_of_map", counting)
+    assert not N.identity_failures()
+    operators = [phi for n in range(4) for m in range(4) for phi in all_monotone_maps(m, n)]
+    assert len(calls) == len(set(calls)) == len(operators) == 121
+    assert set(calls) == set(operators)
+
+
 def test_enumeration_solves_each_boundary_target_once(monkeypatch):
     calls = []
     dispatch = solve._dispatch
@@ -554,6 +594,21 @@ def test_code_gather_matches_composition(name, monkeypatch):
     assert not fallbacks
 
 
+@pytest.mark.parametrize("name", GATHER_CASES)
+def test_act_all_returns_the_objects_act_returns(name):
+    """On every level, every operator within the cap acts on the whole
+    level as ``act`` does on each simplex: the very same objects."""
+    K, cap = GATHER_CASES[name]
+    N = nerve(K, cap)
+    for n in range(cap + 1):
+        level = N.simplices(n)
+        for m in range(cap + 1):
+            for phi in all_monotone_maps(m, n):
+                acted = N.act_all(phi, level)
+                assert len(acted) == len(level)
+                assert all(y is N.act(phi, x) for x, y in zip(level, acted))
+
+
 def test_nerves_sharing_chains_keep_their_own_simplices():
     """The chains of Delta2 are chains of Delta3 too; each nerve's operators
     still land in its own levels."""
@@ -571,20 +626,27 @@ def test_nerves_sharing_chains_keep_their_own_simplices():
 def test_act_without_a_code_is_precomposition():
     """Values the nerve has not coded: nerve_map images, before and after the
     nerve's levels exist, a simplex of another nerve, and operators past the
-    cap.  An operator of the wrong dimension is still refused."""
+    cap.  ``act_all`` on the values of one dimension gives what ``act`` gives
+    on each, the very level simplex wherever ``act`` gives one.  An operator
+    of the wrong dimension is still refused."""
     N1, N2 = nerve(c_delta(1), 3), nerve(c_delta(2), 3)
     u = nerve_map(c_of_map(face_map(2, 1)), N1, N2)
     outside = c_of_map(MonotoneMap(1, 3, (0, 3)))  # a 1-simplex of the tetrahedron nerve
     for built in (False, True):
-        if built:
-            for n in range(4):
-                N2.simplices(n)
+        level = {id(z) for n in range(4) for z in N2.simplices(n)} if built else set()
         values = [u(n, x) for n in range(3) for x in N1.simplices(n)] + [outside]
-        for y in values:
-            n = y.source.dim
+        for n in range(3):
+            ys = [y for y in values if y.source.dim == n]
             for m in range(5):
                 for phi in all_monotone_maps(m, n):
-                    assert N2.act(phi, y) == y.after(c_of_map(phi))
+                    acted = [N2.act(phi, y) for y in ys]
+                    assert acted == [y.after(c_of_map(phi)) for y in ys]
+                    together = N2.act_all(phi, ys)
+                    assert together == acted
+                    assert all(
+                        a is b if id(b) in level else id(a) not in level
+                        for a, b in zip(together, acted)
+                    )
     assert N2.act(identity_map(1), outside).target == c_delta(3)
     with pytest.raises(ValueError, match="composition mismatch"):
         N2.act(face_map(2, 0), N2.simplices(1)[0])

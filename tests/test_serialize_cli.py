@@ -182,6 +182,22 @@ def test_cli_nerve_marks_bounded_counts(tmp_path, triangle_file, capsys):
     assert json.loads(capsys.readouterr().out)["complete"] is True
 
 
+def test_cli_nerve_marks_a_bound_that_cuts_a_certified_complex(triangle_file, capsys):
+    """On the triangle, bound 0 drops every vertex and edge the peel finds;
+    bound 1 keeps them all, so only bound 0 is flagged."""
+    args = ["nerve", triangle_file, "--cap", "1", "--coeff-bound"]
+    assert run(args + ["0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "dim0:0(nondeg 0) dim1:0(nondeg 0)"
+    assert lines[1].startswith("possibly incomplete") and len(lines) == 2
+    assert run(args + ["0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["complete"] is False
+    assert run(args + ["1"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["dim0:3(nondeg 3) dim1:7(nondeg 4)"]
+    assert run(args + ["1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["complete"] is True
+
+
 def test_cli_slices_mark_bounded_counts(tmp_path, capsys):
     from test_cells import two_loop_complex
 

@@ -111,7 +111,8 @@ def test_peel_solver_matches_bounded_brute_force(K, targets):
         assert stray not in brute
         for target in [*brute, stray]:
             result = solve_boundary(K, p, target, 2)
-            assert result.complete
+            unbounded = solve_boundary(K, p, target).chains
+            assert result.complete == all(c <= 2 for z in unbounded for _, c in z.items())
             want = sorted(brute.get(target, ()), key=lambda z: z.coeffs)
             assert result.chains == tuple(want)
             solved += 1
@@ -125,8 +126,8 @@ def test_peel_solver_edge_cases():
     assert solve.solve_augmentation(K, 0) == solve.SolveResult((Chain.zero(0),), True)
     assert solve.solve_augmentation(K, -1) == solve.SolveResult((), True)
     edge = Chain.make(0, {"2": 1, "0": -1})
-    assert solve_boundary(K, 1, edge, 0) == solve.SolveResult((), True)
-    assert solve_boundary(K, 1, edge, 1).chains == (
-        Chain.make(1, {"0,1": 1, "1,2": 1}),
-        Chain.unit(1, "0,2"),
+    # bound 0 drops both paths from 0 to 2, so the result is not complete
+    assert solve_boundary(K, 1, edge, 0) == solve.SolveResult((), False)
+    assert solve_boundary(K, 1, edge, 1) == solve.SolveResult(
+        (Chain.make(1, {"0,1": 1, "1,2": 1}), Chain.unit(1, "0,2")), True
     )
