@@ -1,20 +1,20 @@
 """Cells of the omega-category presented by a directed complex.
 
 An i-cell is a double row of positive chains in degrees 0..i: both rows
-share every differential (d x = upper - lower one degree down), the
-degree-0 entries have augmentation 1, and the two degree-i entries agree.
-Source, target, identities and the compositions act row-wise; composition
-in mixed dimensions pads the lower cell with iterated identities.
+share every differential (d x = upper - lower one degree down), the degree-0
+entries have augmentation 1, and the two degree-i entries agree; it is a
+morphism out of the globe complex G_i.  Source, target, identities and
+compositions act row-wise, a composite padding its lower factor by identities.
 
-Cells, and slice cells (``slices.py``), are enumerated level by level, level
-i from level i-1, by one loop, ``_levels``.  It owns one module slot that
-keeps the last level either enumerator returned, with its key, dim and
-``complete`` flag.  The key is
-("cells", K, coeff_bound) or ("slice", u, c, coeff_bound), K and u compared
-by identity.  A call with the same key and a dim at or above the kept one
-resumes from that level; any other call clears the slot first, so at most
-one level is alive at a time.  The kept tuple is never mutated, so a call
-racing another thread's at worst misses a resume.
+Cells, and slice cells (``slices.py``), are enumerated by one loop,
+``_levels``: level i grows from level i-1 by pairs with one boundary (the
+top's source and target in G_i) and the top fillers of ``_fillers``.  Its
+module slot keeps the last level returned, with its key, dim and
+``complete`` flag.  The key is ("cells", K, coeff_bound) or ("slice", u, c,
+coeff_bound), K and u compared by identity.  A call with the same key and a
+dim at or above the kept one resumes from that level; any other call clears
+the slot first, so at most one level is alive.  The kept tuple is never
+mutated, so a call racing another thread's at worst misses a resume.
 """
 
 from __future__ import annotations
@@ -239,12 +239,12 @@ class CellEnumeration:
 _kept = None  # (key, dim, level, complete) of the last level returned
 
 
-def _fillers(K, lo, hi, bound):
-    """The cells over K from ``lo`` to ``hi``, two cells of one dim with the
-    same lower rows, and the solver's ``complete`` flag."""
-    sols = solve_boundary(K, lo.dim + 1, hi.top - lo.top, bound)
+def _fillers(K, lo, top, bound):
+    """The cells over K from ``lo`` to the cell with ``lo``'s lower rows and
+    top ``top``, one per z with d z = top - lo.top, and ``complete``."""
+    sols = solve_boundary(K, lo.dim + 1, top - lo.top, bound)
     return [
-        CellTableau(K, lo.x0 + (z,), lo.x1[:-1] + (hi.top, z)) for z in sols.chains
+        CellTableau(K, lo.x0 + (z,), lo.x1[:-1] + (top, z)) for z in sols.chains
     ], sols.complete
 
 
@@ -302,7 +302,7 @@ def enumerate_cells(K, dim, coeff_bound=None):
     return CellEnumeration(*_levels(
         ("cells", K, coeff_bound), dim, first,
         lambda c: (c.x0[:-1], c.x1[:-1]),
-        lambda lo, hi: _fillers(K, lo, hi, coeff_bound),
+        lambda lo, hi: _fillers(K, lo, hi.top, coeff_bound),
         lambda c: tuple(ch.coeffs for ch in c.x0 + c.x1),
     ))
 

@@ -95,8 +95,7 @@ def cmd_pushout(args):
     f = _load_morphism(args.left_leg)
     g = _load_morphism(args.right_leg)
     if f.source != M or g.source != M or f.target != K or g.target != L:
-        print("legs do not match the given complexes", file=sys.stderr)
-        return 2
+        raise ValueError("legs do not match the given complexes")
     P = pushout_complex(f, g)
     print(dumps(complex_to_json(P.complex)), end="")
     return 0
@@ -141,12 +140,10 @@ def cmd_slice(args):
     K = _load_complex(args.file)
     u = _load_morphism(args.morphism)
     if u.source != K:
-        print("morphism source does not match the complex", file=sys.stderr)
-        return 2
+        raise ValueError("morphism source does not match the complex")
+    if args.object not in u.target.tokens(0):
+        raise ValueError(f"{args.object!r} is not a vertex of the morphism's target")
     c = Chain.unit(0, args.object)
-    if not u.target.contains_chain(c):
-        print(f"unknown object token {args.object!r}", file=sys.stderr)
-        return 2
     cells, complete = enumerate_slice_cells(u, c, args.cells, args.coeff_bound)
     print(dumps({
         "dim": args.cells,
@@ -170,8 +167,7 @@ def cmd_slice_simplicial(args):
     N = nerve(K, args.cap, args.coeff_bound)
     base = [x for x in N.simplices(0) if x.image_of("0") == Chain.unit(0, args.vertex)]
     if not base:
-        print(f"no 0-simplex at object {args.vertex!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no 0-simplex at object {args.vertex!r}")
     space = (over_slice if args.over else under_slice)(N, base[0], 0)
     counts = space.counts()
     print(dumps({
@@ -192,8 +188,7 @@ def cmd_bisimplicial(args):
     if args.morphism:
         f = _load_morphism(args.morphism)
         if f.source != K:
-            print("morphism source does not match the complex", file=sys.stderr)
-            return 2
+            raise ValueError("morphism source does not match the complex")
         M = nerve(f.target, cap, args.coeff_bound)
         u = nerve_map(f, N, M)
     else:

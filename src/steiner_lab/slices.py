@@ -3,13 +3,16 @@
 Cells of the slice A\\c over a functor u: A -> C are pairs (a, alpha): a
 cell a of A together with a double row of coherence cells of C connecting
 the cone at c.  The a-cell is stored once; its iterated sources and
-targets are read off its rows.  Everything is represented through
-presenting complexes: A = nu(K), C = nu(L), u an ADC morphism, and an oplax
-transformation is a morphism out of the cylinder complex interval (x) K
-with prescribed end restrictions.  Its end functors, whiskerings and
-identities are composites with cylinder maps: an end's injection,
-interval (x) f, and the collapsed interval; its vertical composite is a
-co-pairing on two cylinders glued end to start, after the fold.
+targets are read off its rows.  A slice i-cell is a morphism D_0 * G_i -> L
+sending D_0 to c and G_i to u.a (Ara-Maltsiniotis), so its top coherence
+is a filler with the join's boundary d(v * x) = x - v * t + v * s.
+Everything is represented through presenting complexes: A = nu(K), C =
+nu(L), u an ADC morphism, and an oplax transformation is a morphism out of
+the cylinder complex interval (x) K with prescribed end restrictions.  Its
+end functors, whiskerings and identities are composites with cylinder
+maps: an end's injection, interval (x) f, and the collapsed interval; its
+vertical composite is a co-pairing on two cylinders glued end to start,
+after the fold.
 """
 
 from __future__ import annotations
@@ -397,15 +400,6 @@ def slice_functor(u, v, w, alpha):
     return act
 
 
-def _boundary_rows(a):
-    """The rows of a's iterated sources, then of its iterated targets, each
-    cell's lower row first: the chains of ``a0`` and ``a1``, in that order,
-    read off by ``_source_rows``/``_target_rows`` without building a cell."""
-    x0, x1 = a.x0, a.x1
-    return [ch for rows in (_source_rows, _target_rows) for k in range(len(x0))
-            for row in rows(x0, x1, k) for ch in row]
-
-
 def enumerate_slice_cells(u, c, dim, coeff_bound=None):
     """All slice cells of the given dimension, by boundary-constrained search.
 
@@ -425,32 +419,26 @@ def enumerate_slice_cells(u, c, dim, coeff_bound=None):
         objects = enumerate_cells(K, 0, coeff_bound)
         cells, complete = [], objects.complete
         for a in objects.cells:
-            tops, ok = _fillers(L, base, map_cell(u, a), coeff_bound)
+            tops, ok = _fillers(L, base, u.apply(a.top), coeff_bound)
             complete &= ok
             cells.extend(SliceCell(u, c, a, (t,), (t,)) for t in tops)
         return cells, complete
 
     def grow(S, T):
-        a_tops, complete = _fillers(K, S.a, T.a, coeff_bound)
+        a_tops, complete = _fillers(K, S.a, T.a.top, coeff_bound)
         cells = []
-        lo = T.t1[-1]
         for a in a_tops:
-            hi = whisker_composite(u, a, S.t0)
-            if (lo.x0[:-1], lo.x1[:-1]) != (hi.x0[:-1], hi.x1[:-1]):
-                continue
-            tops, ok = _fillers(L, lo, hi, coeff_bound)
+            tops, ok = _fillers(L, T.t1[-1], u.apply(a.top) + S.t0[-1].top, coeff_bound)
             complete &= ok
-            cells.extend(
-                SliceCell(u, c, a, S.t0 + (t,), T.t1 + (t,))
-                for t in tops
-            )
+            cells.extend(SliceCell(u, c, a, S.t0 + (t,), T.t1 + (t,)) for t in tops)
         return cells, complete
 
     return _levels(
         ("slice", u, c, coeff_bound), dim, first,
         lambda z: (z.a.x0[:-1], z.a.x1[:-1], z.t0[:-1], z.t1[:-1]),
         grow,
-        lambda z: tuple(ch.coeffs for ch in _boundary_rows(z.a)) + tuple(
-            ch.coeffs for cell in z.t0 + z.t1 for ch in cell.x0 + cell.x1
-        ),
+        # a's entries x0[0], x0[1], x1[0], ..., x0[i], x1[i-1] (their first
+        # places in the rows of a0, then a1), then the coherence rows
+        lambda z: tuple(ch.coeffs for ch in (z.a.x0[0],) + sum(zip(z.a.x0[1:], z.a.x1), ())
+                        + tuple(ch for t in z.t0 + z.t1 for ch in t.x0 + t.x1)),
     )

@@ -10,7 +10,7 @@ import itertools
 
 import networkx as nx
 
-from steiner_lab import AdcMorphism, Chain
+from steiner_lab import AdcMorphism, Chain, DirComplex
 from steiner_lab.cells import _atom
 from steiner_lab.chains import images_in_basis_order
 
@@ -30,15 +30,17 @@ def bounded_chains(K, p, bound):
     return out
 
 
-def brute_morphisms(src, dst, bound):
-    """All morphisms src -> dst with image coefficients <= bound."""
+def brute_morphisms(src, dst, bound, fixed=None):
+    """All morphisms src -> dst with image coefficients <= bound, taking the
+    image of each token in ``fixed`` as given."""
+    fixed = fixed or {}
     partials = [{}]
     for p in src.degrees():
         candidates = bounded_chains(dst, p, bound)
         for token in src.tokens(p):
             grown = []
             for assignment in partials:
-                for z in candidates:
+                for z in [fixed[token]] if token in fixed else candidates:
                     if p == 0:
                         if dst.e(z) != src.aug_of(token):
                             continue
@@ -83,6 +85,48 @@ def brute_cells(K, dim, bound):
     from steiner_lab import CellTableau
 
     return [CellTableau(K, x0, x1) for x0, x1 in stacks]
+
+
+def globe_complex(i):
+    """G_i, the complex whose morphisms into K are the i-cells of nu(K):
+    sources s_k and targets t_k for k < i, with d s_k = d t_k = t_{k-1} -
+    s_{k-1}, and the top x with d x = t_{i-1} - s_{i-1}.  The targets are
+    named y_k, so that token names sort as the rows of the top's atom,
+    s_0 < ... < s_{i-1} < x < y_0 < ... < y_{i-1}."""
+    basis = [[f"s{k}", f"y{k}"] for k in range(i)] + [["x"]]
+    diff = {}
+    for k in range(1, i + 1):
+        boundary = Chain.make(k - 1, {f"y{k - 1}": 1, f"s{k - 1}": -1})
+        for token in basis[k]:
+            diff[token] = boundary
+    return DirComplex(basis, diff, {t: 1 for t in basis[0]})
+
+
+def join_complex(K, L):
+    """The join K * L of augmented complexes (Ara-Maltsiniotis): tokens
+    "x*" for x in K, "*y" for y in L, and "x*y" in degree |x| + |y| + 1 with
+    d(x * y) = dx * y + (-1)^(|x|+1) x * dy, where d of a vertex is its
+    augmentation times the empty join factor."""
+    basis = [[] for _ in range(K.dim + L.dim + 2)]
+    diff, aug = {}, {}
+    for C, name in ((K, "{}*"), (L, "*{}")):
+        for x, p in C.graded():
+            basis[p].append(name.format(x))
+            if p:
+                faces = {name.format(t): c for t, c in C.diff_of(x).items()}
+                diff[name.format(x)] = Chain.make(p - 1, faces)
+            else:
+                aug[name.format(x)] = C.aug_of(x)
+    for x, p in K.graded():
+        for y, q in L.graded():
+            dx = [(f"*{y}", K.aug_of(x))] if p == 0 else [
+                (f"{t}*{y}", c) for t, c in K.diff_of(x).items()]
+            dy = [(f"{x}*", L.aug_of(y))] if q == 0 else [
+                (f"{x}*{t}", c) for t, c in L.diff_of(y).items()]
+            sign = (-1) ** (p + 1)
+            basis[p + q + 1].append(f"{x}*{y}")
+            diff[f"{x}*{y}"] = Chain.make(p + q, dx + [(t, sign * c) for t, c in dy])
+    return DirComplex(basis, diff, aug)
 
 
 def loopfree_by_networkx(K):

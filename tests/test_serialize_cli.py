@@ -129,6 +129,28 @@ def test_cli_rejects_unknown_choices(triangle_file, capsys, argv):
     assert "invalid choice" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["pushout", "POINT", "TRIANGLE", "TRIANGLE", "IDENTITY", "IDENTITY"],
+     "legs do not match"),
+    (["slice", "POINT", "IDENTITY", "0", "--cells", "0"], "source does not match"),
+    (["slice", "TRIANGLE", "IDENTITY", "9", "--cells", "0"], "not a vertex"),
+    (["slice", "TRIANGLE", "IDENTITY", "0,1", "--cells", "0"], "'0,1' is not a vertex"),
+    (["slice-simplicial", "TRIANGLE", "9", "--cap", "1"], "no 0-simplex"),
+    (["bisimplicial", "POINT", "--morphism", "IDENTITY", "--cap-m", "0", "--cap-n", "0"],
+     "source does not match"),
+])
+def test_cli_refusals_are_one_error_line(tmp_path, triangle_file, identity_file, capsys,
+                                         argv, message):
+    point = tmp_path / "point.json"
+    point.write_text(dumps(complex_to_json(c_delta(0))))
+    files = {"TRIANGLE": triangle_file, "IDENTITY": identity_file, "POINT": str(point)}
+    assert run([files.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 def test_cli_tensor_and_pushout(tmp_path, capsys):
     i_path = tmp_path / "interval.json"
     i_path.write_text(dumps(complex_to_json(c_delta(1))))
