@@ -7,22 +7,23 @@ morphism out of the globe complex G_i.  Source, target, identities and
 compositions act row-wise, a composite padding its lower factor by identities.
 
 Cells, and slice cells (``slices.py``), are enumerated by one loop,
-``_levels``: level i grows from level i-1 by pairs with one boundary (the
-top's source and target in G_i) and the top fillers of ``_fillers``.  Its
-module slot keeps the last level returned, with its key, dim and
-``complete`` flag.  The key is ("cells", K, coeff_bound) or ("slice", u, c,
-coeff_bound), K and u compared by identity.  A call with the same key and a
-dim at or above the kept one resumes from that level; any other call clears
-the slot first, so at most one level is alive.  The kept tuple is never
-mutated, so a call racing another thread's at worst misses a resume.
+``_levels``: level i grows from level i-1 by the pairs with one boundary
+(the top's source and target in G_i), which ``chains._matched`` lists as it
+lists ``lambda_of_nu``'s composable pairs, and the top fillers of
+``_fillers``.  Its module slot keeps the last level returned, with its key,
+dim and ``complete`` flag.  The key is ("cells", K, coeff_bound) or
+("slice", u, c, coeff_bound), K and u compared by identity.  A call with
+the same key and a dim at or above the kept one resumes from that level;
+any other call clears the slot first, so at most one level is alive.  The
+kept tuple is never mutated, so a call racing another thread's at worst
+misses a resume.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .chains import Chain, _toposort, pos_neg_decompose
+from .chains import Chain, _matched, _toposort, pos_neg_decompose
 from .linalg import abelian_invariants
 from .solve import solve_augmentation, solve_boundary
 
@@ -266,15 +267,11 @@ def _levels(key, dim, first, boundary, grow, order):
     else:
         start, (level, complete) = 0, first()
     for _ in range(start, dim):
-        grouped = {}
-        for x in level:
-            grouped.setdefault(boundary(x), []).append(x)
-        level = []
-        for group in grouped.values():
-            for lo, hi in itertools.product(group, repeat=2):
-                new, ok = grow(lo, hi)
-                complete &= ok
-                level.extend(new)
+        lower, level = level, []
+        for lo, hi in _matched(lower, map(boundary, lower), lower, map(boundary, lower)):
+            new, ok = grow(lo, hi)
+            complete &= ok
+            level.extend(new)
     level = tuple(sorted(level, key=order))
     _kept = (key, dim, level, complete)
     return level, complete
@@ -342,25 +339,17 @@ def lambda_of_nu(K, max_dim, coeff_bound=None):
             )
         cells = enum.cells
         index = {c: k for k, c in enumerate(cells)}
-        by_source = {}
-        by_target = {}
-        for j in range(i):
-            for c in cells:
-                by_source.setdefault((j, source_iter(c, j)), []).append(c)
-                by_target.setdefault((j, target_iter(c, j)), []).append(c)
         relations = set()
         for j in range(i):
-            for boundary, xs in by_source.items():
-                if boundary[0] != j:
-                    continue
-                for x in xs:
-                    for y in by_target.get((j, boundary[1]), []):
-                        row = [0] * len(cells)
-                        row[index[compose(x, y, j)]] += 1
-                        row[index[x]] -= 1
-                        row[index[y]] -= 1
-                        if any(row):
-                            relations.add(tuple(row))
+            sources = (source_iter(c, j) for c in cells)
+            targets = (target_iter(c, j) for c in cells)
+            for x, y in _matched(cells, sources, cells, targets):
+                row = [0] * len(cells)
+                row[index[compose(x, y, j)]] += 1
+                row[index[x]] -= 1
+                row[index[y]] -= 1
+                if any(row):
+                    relations.add(tuple(row))
         rank, torsion = abelian_invariants(len(cells), sorted(relations))
         reports.append(
             DegreeComparison(i, len(cells), rank, torsion, len(K.tokens(i)))

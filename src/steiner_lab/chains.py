@@ -565,6 +565,17 @@ def _toposort(nodes, edges, key=None):
     return order, unique
 
 
+def _matched(lefts, left_keys, rights, right_keys):
+    """Every pair (l, r) of a left and a right with equal keys, by l, then by
+    the order of ``rights``; each key iterable is read in step with its items."""
+    groups = {}
+    for r, k in zip(rights, right_keys):
+        groups.setdefault(k, []).append(r)
+    for l, k in zip(lefts, left_keys):
+        for r in groups.get(k, ()):
+            yield l, r
+
+
 def _strong_edges(K):
     edges = set()
     for p in K.degrees():

@@ -36,6 +36,9 @@ from .slices import enumerate_slice_cells
 from .tensor import pushout_complex, tensor_complex
 
 
+_INCOMPLETE = "possibly incomplete: the enumeration was cut at --coeff-bound"
+
+
 def _load_complex(path):
     return complex_from_json(load_path(path))
 
@@ -57,18 +60,21 @@ def cmd_adc(args):
 def cmd_oriental(args):
     K = c_delta(args.n)
     if args.counts:
-        parts = []
+        parts, complete = [], True
         for i in range(args.n + 1):
             enum = enumerate_cells(K, i, args.coeff_bound)
+            complete &= enum.complete
             if i == 0:
                 parts.append(f"dim0:{len(enum.cells)}")
             else:
                 parts.append(f"dim{i}(nondeg):{len(enum.nonidentity())}")
         line = " ".join(parts)
         if args.json:
-            print(dumps({"oriental": args.n, "counts": line}), end="")
+            print(dumps({"oriental": args.n, "complete": complete, "counts": line}), end="")
         else:
             print(line)
+            if not complete:
+                print(_INCOMPLETE)
         return 0
     dim = args.dim if args.dim is not None else args.n
     enum = enumerate_cells(K, dim, args.coeff_bound)
@@ -132,7 +138,7 @@ def cmd_nerve(args):
     else:
         print(" ".join(f"dim{n}:{total}(nondeg {nd})" for n, total, nd in counts))
         if not N.complete:
-            print("possibly incomplete: the enumeration was cut at --coeff-bound")
+            print(_INCOMPLETE)
     return 0
 
 
@@ -229,11 +235,17 @@ def cmd_verify(args):
     return 0 if report.all_passed else 1
 
 
+def _dot_id(token):
+    """A token as a quoted DOT ID: backslashes, quotes and newlines escaped."""
+    escaped = token.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'"{escaped}"'
+
+
 def cmd_export_dot(args):
     K = _load_complex(args.file)
     lines = ["digraph complex {", "  rankdir=BT;"]
     for p in K.degrees():
-        names = " ".join(f'"{t}"' for t in K.tokens(p))
+        names = " ".join(map(_dot_id, K.tokens(p)))
         lines.append(f"  {{ rank=same; {names} }}")
     for p in K.degrees():
         if p == 0:
@@ -241,7 +253,7 @@ def cmd_export_dot(args):
         for t in K.tokens(p):
             for s, coeff in K.diff_of(t).items():
                 style = "solid" if coeff > 0 else "dashed"
-                lines.append(f'  "{t}" -> "{s}" [style={style}, label="{coeff}"];')
+                lines.append(f'  {_dot_id(t)} -> {_dot_id(s)} [style={style}, label="{coeff}"];')
     lines.append("}")
     text = "\n".join(lines) + "\n"
     if args.output:

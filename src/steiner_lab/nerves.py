@@ -12,9 +12,10 @@ and 1 are found by ``enumerate_morphisms``: it grows partial morphisms as
 tuples of images and, since a generator's boundary constraint depends only
 on the images of its faces, solves each generator once per distinct tuple
 of those.  A level n >= 2 grows from level n-1 by face pairs and fillers:
-an n-simplex is a pair (a, b) of (n-1)-simplices with d_0 a = d_{n-1} b,
-which fixes its images off the 2^(n-1) generators on both vertices 0 and
-n, and those fillers are placed by the same growth step, in degree order.
+an n-simplex is a pair (a, b) of (n-1)-simplices with d_0 a = d_{n-1} b.
+The pair, listed by ``chains._matched`` like the pairs of S(u), fixes its
+images off the 2^(n-1) generators on both vertices 0 and n, and those
+fillers are placed by the same growth step, in degree order.
 
 A nerve simplex x of dimension n is acted on by phi: Delta(m) -> Delta(n)
 through precomposition, ``x.after(c_of_map(phi))``.  A nerve also gives
@@ -36,7 +37,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .chains import AdcMorphism, Chain, _combine, _gather, _toposort
+from .chains import AdcMorphism, Chain, _combine, _gather, _matched, _toposort
 from .simplex import (
     MonotoneMap,
     _operators,
@@ -281,21 +282,19 @@ def _grow(src, dst, partials, position, tokens, fixed, coeff_bound):
 
 
 def hom_enumerate(n, K, coeff_bound=None):
-    """All morphisms from the chains of the n-simplex into K."""
+    """All morphisms cDelta(n) -> K; ``enumerate_morphisms`` also gives their complete flag."""
     morphisms, _ = enumerate_morphisms(c_delta(n), K, coeff_bound=coeff_bound)
     return morphisms
 
 
 def _grown_level(n, K, lower, act_all, coeff_bound):
     """Level n >= 2 of the nerve of K from its level n-1, ``lower``: each
-    pair (a, b) with d_0 a = d_{n-1} b, found by grouping b on that face
-    through ``act_all``, gives a's images, then b's, and ``_grow`` places
-    the fillers, the simplices of cDelta(n) on both vertices 0 and n."""
-    by_face = {}
-    for face, b in zip(act_all(face_map(n - 1, n - 1), lower), lower):
-        by_face.setdefault(face, []).append(b.images)
-    faces = act_all(face_map(n - 1, 0), lower)
-    pairs = (a.images + b for a, face in zip(lower, faces) for b in by_face.get(face, ()))
+    pair (a, b) with d_0 a = d_{n-1} b, matched on those faces read by
+    ``act_all``, gives a's images, then b's, and ``_grow`` places the
+    fillers, the simplices of cDelta(n) on both vertices 0 and n."""
+    firsts = act_all(face_map(n - 1, 0), lower)
+    lasts = act_all(face_map(n - 1, n - 1), lower)
+    pairs = (a.images + b.images for a, b in _matched(lower, firsts, lower, lasts))
     face = list(_positions(n - 1))
     fillers = [simplex_token(t) for t in _positions(n) if t[0] == 0 and t[-1] == n]
     slots = [simplex_token(t) for t in face] + [simplex_token([v + 1 for v in t]) for t in face]
@@ -419,10 +418,9 @@ def _pairs_over_final_face(u, m, n, candidates):
     u: X -> Y and an n-simplex x of X such that y' has final n-face u(x),
     listed by x, then by the order of the candidates."""
     X, Y = u.src, u.dst
-    by_final = {}
-    for face, yp in zip(Y.act_all(final_inclusion(m, n), candidates), candidates):
-        by_final.setdefault(face, []).append(yp)
-    return [(yp, x) for x in X.simplices(n) for yp in by_final.get(u(n, x), [])]
+    xs = X.simplices(n)
+    faces = Y.act_all(final_inclusion(m, n), candidates)
+    return [(yp, x) for x, yp in _matched(xs, (u(n, x) for x in xs), candidates, faces)]
 
 
 def map_under_slice(u, y, m):

@@ -14,10 +14,10 @@ top, the residual is one list of ints updated in place and restored on
 backtrack, and each solution is built directly in canonical form.
 
 When no such certificate exists (cyclic precedence, zero differentials,
-non-positive augmentations) enumeration falls back to a bounded search and
-the result is flagged as possibly incomplete.  A coefficient bound on a
-certified solve drops the solutions above it, and flags the result so
-whenever it drops one.
+non-positive augmentations) enumeration tries all (bound+1)^|basis_p|
+coefficient vectors and flags the result as possibly incomplete.  A
+coefficient bound on a certified solve drops the solutions above it, and
+flags the result so whenever it drops one.
 
 Cell, slice and nerve enumerations ask the same question many times, so each
 complex keeps its answers in ``K._strong_cache["solved"]``, keyed by degree,
@@ -28,6 +28,7 @@ never stored.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .chains import Chain, strong_loopfree_order
@@ -128,36 +129,14 @@ def _peel_solve(p, groups, residual):
 
 
 def _bounded_solve(K, p, target, bound):
-    tokens = list(K.tokens(p))
-    cols = []
-    for t in tokens:
-        if p == 0:
-            cols.append({"": K.aug_of(t)})
-        else:
-            cols.append(dict(K.diff_of(t).items()))
-    solutions = []
-
-    def descend(idx, residual, picked):
-        if idx == len(tokens):
-            if not residual:
-                solutions.append(dict(picked))
-            return
-        col = cols[idx]
-        for z in range(bound + 1):
-            if z:
-                picked[tokens[idx]] = z
-            new_res = dict(residual)
-            for c, a in col.items():
-                v = new_res.get(c, 0) - a * z
-                if v:
-                    new_res[c] = v
-                else:
-                    new_res.pop(c, None)
-            descend(idx + 1, new_res, picked)
-        picked.pop(tokens[idx], None)
-
-    descend(0, {t: c for t, c in target.items() if c}, {})
-    return solutions
+    """Every positive degree-p chain z with coefficients at most ``bound``
+    and d(z) = target (e(z) = target in degree 0): each of the
+    (bound+1)^|basis_p| coefficient vectors is tried."""
+    tokens = K.tokens(p)
+    measure = K.d if p else K.e
+    vectors = itertools.product(range(bound + 1), repeat=len(tokens))
+    chains = (Chain.make(p, zip(tokens, cs)) for cs in vectors)
+    return [z for z in chains if measure(z) == target]
 
 
 def solve_boundary(K, p, target, bound=None):
@@ -218,8 +197,7 @@ def _dispatch(K, p, target, bound):
                 "no completeness certificate for this complex; "
                 "a coefficient bound is required"
             )
-        raw = dict(target.items()) if p else ({"": target} if target else {})
-        chains = [Chain.make(p, sol) for sol in _bounded_solve(K, p, raw, bound)]
+        chains = _bounded_solve(K, p, target, bound)
         complete = False
     chains.sort(key=lambda z: z.coeffs)
     return SolveResult(tuple(chains), complete)

@@ -20,7 +20,7 @@ from steiner_lab import (
     validate_complex,
 )
 from steiner_lab.cells import _atom
-from steiner_lab.chains import _toposort
+from steiner_lab.chains import _matched, _toposort
 from steiner_lab.serialize import morphism_from_json, morphism_to_json
 from steiner_lab.simplex import all_monotone_maps, c_of_map
 from oracles import (
@@ -399,12 +399,16 @@ def test_two_cycle_is_not_strongly_loopfree():
     assert strong_loopfree_order(K) is None
 
 
-def test_non_unitary_counterexample():
-    K = DirComplex(
+def non_unitary_complex():
+    return DirComplex(
         [["v", "w"], ["g"]],
         {"g": chain(0, {"w": 2, "v": -2})},
         {"v": 1, "w": 1},
     )
+
+
+def test_non_unitary_counterexample():
+    K = non_unitary_complex()
     assert validate_complex(K).ok
     assert not is_unitary(K)
 
@@ -454,6 +458,29 @@ def test_toposort_matches_networkx(size, pairs, levels):
         assert order == list(nx.lexicographical_topological_sort(graph, key=key))
         reference = list(nx.topological_sort(graph))
         assert unique == all(graph.has_edge(a, b) for a, b in zip(reference, reference[1:]))
+
+
+@given(st.lists(st.integers(0, 3), max_size=8), st.lists(st.integers(0, 3), max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_matched_is_the_nested_loop(left_keys, right_keys):
+    """Pairs of equal keys, by left, then by the order of the rights; keys
+    repeat on both sides, and the items are positions, so order shows."""
+    lefts, rights = list(range(len(left_keys))), [-1 - i for i in range(len(right_keys))]
+    want = [
+        (l, r) for l, a in zip(lefts, left_keys) for r, b in zip(rights, right_keys) if a == b
+    ]
+    assert list(_matched(lefts, iter(left_keys), rights, iter(right_keys))) == want
+
+
+def test_matched_reads_the_left_keys_in_step():
+    def left_keys():
+        yield "k"
+        raise RuntimeError("read past the first left key")
+
+    pairs = _matched(["x", "y"], left_keys(), ["r", "s", "t"], ["k", "j", "k"])
+    assert next(pairs) == ("x", "r") and next(pairs) == ("x", "t")
+    with pytest.raises(RuntimeError):
+        next(pairs)
 
 
 @st.composite

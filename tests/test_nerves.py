@@ -288,16 +288,17 @@ def test_columns_split_into_under_slices():
 
 def _pairs_by_brute_force(u, m, n, y=None):
     """Every (y', x) in Y_(m+1+n) x X_n whose final n-face is u(x) and, when
-    y is given, whose initial m-face is y; faces come from vertex lists."""
+    y is given, whose initial m-face is y, listed by x, then by y'; faces
+    come from vertex lists."""
     X, Y = u.src, u.dst
     k = m + 1 + n
-    return {
+    return [
         (yp, x)
-        for yp in Y.simplices(k)
         for x in X.simplices(n)
+        for yp in Y.simplices(k)
         if simplex_facet(Y, yp, k, range(m + 1, k + 1)) == u(n, x)
         and (y is None or simplex_facet(Y, yp, k, range(m + 1)) == y)
-    }
+    ]
 
 
 def _small_simplicial_map(name):
@@ -323,11 +324,33 @@ def test_slice_levels_match_brute_force(name):
         for n in range(2):
             level = S.simplices(m, n)
             assert len(set(level)) == len(level)
-            assert set(level) == _pairs_by_brute_force(u, m, n)
+            assert set(level) == set(_pairs_by_brute_force(u, m, n))
             for y in u.dst.simplices(m):
                 level = map_under_slice(u, y, m).simplices(n)
                 assert len(set(level)) == len(level)
-                assert set(level) == _pairs_by_brute_force(u, m, n, y)
+                assert set(level) == set(_pairs_by_brute_force(u, m, n, y))
+
+
+@pytest.mark.parametrize("u_is", ["identity", "sigma0"])
+def test_relative_slices_and_comparison_levels_are_listed_by_x(u_is):
+    """On the triangle nerve, under the identity and under the nerve map of
+    c(sigma_0): cDelta3 -> cDelta2, S(u) and every relative under-slice list
+    their pairs by x, then by y' in level order."""
+    Y = nerve(c_delta(2), 4)
+    if u_is == "identity":
+        u = identity_simplicial_map(Y)
+    else:
+        u = nerve_map(c_of_map(degeneracy_map(2, 0)), nerve(c_delta(3), 2), Y)
+    S, _ = bisimplicial_comparison(u, 1, 2)
+    compared = 0
+    for m in range(2):
+        for n in range(3):
+            assert S.simplices(m, n) == _pairs_by_brute_force(u, m, n)
+            for y in Y.simplices(m):
+                level = map_under_slice(u, y, m).simplices(n)
+                assert level == _pairs_by_brute_force(u, m, n, y)
+                compared += len(level)
+    assert compared == sum(len(S.simplices(m, n)) for m in range(2) for n in range(3))
 
 
 def test_rows_split_into_over_slices():

@@ -2,12 +2,13 @@ import contextlib
 import copy
 import io
 import json
+import re
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steiner_lab import Chain, c_delta, atom_cell, identity_morphism
+from steiner_lab import Chain, DirComplex, c_delta, atom_cell, identity_morphism
 from steiner_lab.cli import run
 from steiner_lab.serialize import (
     cell_from_json,
@@ -80,6 +81,20 @@ def test_cli_validate_rejects_corruption(tmp_path, capsys):
 def test_cli_oriental_counts(capsys):
     assert run(["oriental", "2", "--counts"]) == 0
     assert capsys.readouterr().out.strip() == "dim0:3 dim1(nondeg):4 dim2(nondeg):1"
+
+
+def test_cli_oriental_counts_mark_a_bound_that_cuts_them(capsys):
+    """Bound 0 cuts every cell of the certified 2-oriental, so the counts
+    carry the nerve's marker; unbounded they are complete and unmarked."""
+    assert run(["oriental", "2", "--counts", "--coeff-bound", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "dim0:0 dim1(nondeg):0 dim2(nondeg):0"
+    assert lines[1].startswith("possibly incomplete") and len(lines) == 2
+    assert run(["oriental", "2", "--counts", "--coeff-bound", "0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["complete"] is False
+    assert run(["oriental", "2", "--counts", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["complete"] is True and data["counts"] == "dim0:3 dim1(nondeg):4 dim2(nondeg):1"
 
 
 def test_cli_oriental_counts_and_dim_are_exclusive(capsys):
@@ -279,6 +294,31 @@ def test_cli_export_dot(triangle_file, capsys):
     assert run(["export-dot", triangle_file]) == 0
     out = capsys.readouterr().out
     assert "digraph" in out and '"0,1,2"' in out
+
+
+def test_cli_export_dot_escapes_token_names(tmp_path, capsys):
+    """Every quoted ID decodes back to its token, in the rank lines and on
+    both ends of each edge, whatever quotes, backslashes and newlines the
+    token holds."""
+    K = DirComplex(
+        [['a"b', "c\\d", "e\nf"], ['g\\"h']],
+        {'g\\"h': Chain.make(0, {"c\\d": 1, 'a"b': -1})},
+        {'a"b': 1, "c\\d": 1, "e\nf": 1},
+    )
+    path = tmp_path / "quoted.json"
+    path.write_text(dumps(complex_to_json(K)))
+    assert run(["export-dot", str(path)]) == 0
+    out = capsys.readouterr().out
+    edges = [(t, s) for t in K.tokens(1) for s, _ in K.diff_of(t).items()]
+    # header, one rank line per degree, one line per edge, closing brace
+    assert len(out.splitlines()) == 2 + len(K.degrees()) + len(edges) + 1
+    decode = {"\\": "\\", '"': '"', "n": "\n"}
+    ids = [
+        re.sub(r"\\(.)", lambda m: decode[m.group(1)], quoted)
+        for label, quoted in re.findall(r'(label=)?"((?:[^"\\]|\\.)*)"', out)
+        if not label
+    ]
+    assert ids == [*K.tokens(0), *K.tokens(1), *(x for edge in edges for x in edge)]
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from steiner_lab.solve import SolverError, solve_boundary
 from steiner_lab.tensor import tensor_complex
 from oracles import bounded_chains
 from test_cells import two_loop_complex
+from test_chains import non_unitary_complex
 
 
 def fresh(K):
@@ -131,3 +132,27 @@ def test_peel_solver_edge_cases():
     assert solve_boundary(K, 1, edge, 1) == solve.SolveResult(
         (Chain.make(1, {"0,1": 1, "1,2": 1}), Chain.unit(1, "0,2")), True
     )
+
+
+@pytest.mark.parametrize("bound", range(4))
+@pytest.mark.parametrize("make", [two_loop_complex, non_unitary_complex], ids=["two-loop", "non-unitary"])
+def test_uncertified_solver_is_the_bounded_oracle(monkeypatch, make, bound):
+    """With the peeling certificate withheld, every solve is the bounded
+    search: in each degree up to dim + 1 (whose only chain is zero), on
+    every target the oracle reaches and on one it does not."""
+    K = fresh(make())
+    monkeypatch.setattr(solve, "_peel_data", lambda K, p: None)
+    for p in range(K.dim + 2):
+        measure = K.d if p else K.e
+        brute = {}
+        for z in bounded_chains(K, p, bound):
+            brute.setdefault(measure(z), []).append(z)
+        stray = Chain.unit(p - 1, K.tokens(p - 1)[0]) if p else -1
+        assert stray not in brute
+        for target in [*brute, stray]:
+            if p:
+                result = solve_boundary(K, p, target, bound)
+            else:
+                result = solve.solve_augmentation(K, target, bound)
+            assert result.chains == tuple(sorted(brute.get(target, ()), key=lambda z: z.coeffs))
+            assert result.complete is False
