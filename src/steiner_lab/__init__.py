@@ -31,7 +31,6 @@ from .cells import (
     source_iter,
     target,
     target_iter,
-    validate_cell,
 )
 from .simplex import (
     MonotoneMap,
@@ -57,7 +56,6 @@ from .slices import (
     slice_compose,
     slice_functor,
     slice_identity,
-    validate_slice_cell,
     vertical_compose,
 )
 from .tensor import (
@@ -74,7 +72,6 @@ from .nerves import (
     hom_enumerate,
     nerve,
     over_slice,
-    simplex_facet,
     under_slice,
 )
 from .retract import (

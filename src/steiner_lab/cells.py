@@ -14,8 +14,10 @@ lists ``lambda_of_nu``'s composable pairs, and the top fillers of
 dim and ``complete`` flag.  The key is ("cells", K, coeff_bound) or
 ("slice", u, c, coeff_bound), K and u compared by identity.  A call with
 the same key and a dim at or above the kept one resumes from that level;
-any other call clears the slot first, so at most one level is alive.  The
-kept tuple is never mutated, so a call racing another thread's at worst
+any other call clears the slot first, so at most one level is alive.  Cells
+and slice cells share the one slot, so a call of either kind frees the
+other's level: one live level bounds peak RSS, which a slot per kind raised.
+The kept tuple is never mutated, so a call racing another thread's at worst
 misses a resume.
 """
 
@@ -83,10 +85,6 @@ def cell_problems(cell):
     if cell.x0[-1] != cell.x1[-1]:
         problems.append("top entries differ")
     return problems
-
-
-def validate_cell(cell):
-    return not cell_problems(cell)
 
 
 def object_cell(K, chain):

@@ -13,7 +13,7 @@ import json
 import sys
 
 from .cells import enumerate_cells
-from .chains import Chain, validate_complex
+from .chains import Chain, check_morphism, validate_complex
 from .nerves import (
     bisimplicial_comparison,
     identity_simplicial_map,
@@ -44,7 +44,13 @@ def _load_complex(path):
 
 
 def _load_morphism(path):
-    return morphism_from_json(load_path(path))
+    """A morphism file, refused with its first problem unless it is a
+    positive chain map that keeps the augmentation."""
+    f = morphism_from_json(load_path(path))
+    problems = check_morphism(f).problems
+    if problems:
+        raise ValueError(f"{path}: {problems[0]}")
+    return f
 
 
 def cmd_adc(args):

@@ -29,7 +29,8 @@ morphism.  Any other value, an operator past the cap or of another
 dimension, and a code not seen yet are composed; a new result from a coded
 simplex is coded then.  ``act_all`` acts on a list of simplices of one
 level with one lookup of c(phi) and its gather; whole-level callers, the
-functoriality tables of ``identity_failures`` among them, go through it.
+functoriality tables of ``identity_failures`` among them, go through it,
+and ``act`` is its one-simplex case.
 """
 
 from __future__ import annotations
@@ -347,10 +348,6 @@ def nerve(K, cap, coeff_bound=None):
         y = coded.get(key)
         return register(x.after(c), key) if y is None else y
 
-    def act(phi, x):
-        c = c_of_map(phi)
-        return x.after(c) if phi.src > cap else acted(c, c.plan.gather, x)
-
     def act_all(phi, xs):
         c = c_of_map(phi)
         if phi.src > cap:
@@ -358,19 +355,13 @@ def nerve(K, cap, coeff_bound=None):
         gather = c.plan.gather
         return [acted(c, gather, x) for x in xs]
 
-    N = SimplicialSetTrunc(cap, level, act, act_all)
+    N = SimplicialSetTrunc(cap, level, lambda phi, x: act_all(phi, (x,))[0], act_all)
     return N
 
 
 def nerve_map(f, src_nerve, dst_nerve):
     """The simplicial map induced on nerves by a complex morphism."""
     return SimplicialMap(src_nerve, dst_nerve, lambda n, x: f.after(x))
-
-
-def simplex_facet(X, x, n, indices):
-    """The facet x_{i_0..i_m} of an n-simplex, via the induced operator."""
-    m = len(indices) - 1
-    return X.act(MonotoneMap(m, n, tuple(indices)), x)
 
 
 def _slice(Y, y, m, face, join):
@@ -396,7 +387,7 @@ def under_slice(Y, y, m):
     )
 
 
-def under_slice_projection(Y, y, m, slice_space):
+def under_slice_projection(Y, m, slice_space):
     return SimplicialMap(slice_space, Y, lambda n, yp: Y.act(final_inclusion(m, n), yp))
 
 
@@ -409,7 +400,7 @@ def over_slice(Y, y, m):
     )
 
 
-def over_slice_projection(Y, y, m, slice_space):
+def over_slice_projection(Y, m, slice_space):
     return SimplicialMap(slice_space, Y, lambda n, yp: Y.act(initial_inclusion(n, m), yp))
 
 

@@ -9,16 +9,16 @@ Formats:
 * cell: ``{"dim": i, "x0": [{tok: int}, ...], "x1": [...]}``
 
 Dictionaries are dumped with sorted keys, basis lists in declaration
-order, so the same value always serializes to the same bytes.  Reading
-rejects a file of the wrong shape, a token outside its complex, and
-coefficients that are not JSON integers (instead of truncating them).
+order, so the same value always serializes to the same bytes.  Complexes
+and morphisms are read back; cells are only written.  Reading rejects a
+file of the wrong shape, a token outside its complex, and coefficients that
+are not JSON integers (instead of truncating them).
 """
 
 from __future__ import annotations
 
 import json
 
-from .cells import CellTableau, _check_shape
 from .chains import AdcMorphism, Chain, DirComplex, morphism_shape_problems
 
 
@@ -110,18 +110,6 @@ def cell_to_json(cell):
         "x0": [chain_to_json(c) for c in cell.x0],
         "x1": [chain_to_json(c) for c in cell.x1],
     }
-
-
-def cell_from_json(K, data):
-    _json_object(data, "a cell")
-    rows = []
-    for key in ("x0", "x1"):
-        if not isinstance(data.get(key), list):
-            raise ValueError(f"a cell needs an {key!r} list of chains")
-        rows.append(tuple(chain_from_json(k, d) for k, d in enumerate(data[key])))
-    cell = CellTableau(K, *rows)
-    _check_shape(cell)
-    return cell
 
 
 def dumps(data):

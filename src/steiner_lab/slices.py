@@ -205,9 +205,6 @@ class SliceCell:
     def a1(self):
         return tuple(target_iter(self.a, k) for k in range(self.dim + 1))
 
-    def base_object(self):
-        return object_cell(self.u.target, self.c)
-
 
 def whisker_composite(u, a_cell, coherences):
     """u(a) *_0 alpha_1 *_1 ... *_{k-1} alpha_k, folded left to right
@@ -237,25 +234,13 @@ def slice_problems(cell):
     rows = ((cell.a0, cell.t0), (cell.a1, cell.t1))
     for k in range(i + 1):
         for eps, (a_row, row) in enumerate(rows):
-            want_source = cell.base_object() if k == 0 else cell.t1[k - 1]
+            want_source = object_cell(L, cell.c) if k == 0 else cell.t1[k - 1]
             if source(row[k]) != want_source:
                 problems.append(f"source of alpha^{eps}_{k + 1} is wrong")
             # the prescribed target: u(a) whiskered by the lower coherences
             if target(row[k]) != whisker_composite(cell.u, a_row[k], cell.t0[:k]):
                 problems.append(f"target of alpha^{eps}_{k + 1} is wrong")
     return problems
-
-
-def validate_slice_cell(cell):
-    return not slice_problems(cell)
-
-
-def slice_source(cell):
-    return slice_source_iter(cell, cell.dim - 1)
-
-
-def slice_target(cell):
-    return slice_target_iter(cell, cell.dim - 1)
 
 
 def slice_identity(cell):

@@ -12,7 +12,7 @@ import gc
 import pathlib
 import weakref
 
-from steiner_lab import c_delta, enumerate_cells
+from steiner_lab import Chain, c_delta, enumerate_cells, enumerate_slice_cells, identity_morphism
 from steiner_lab.nerves import standard_simplex
 from steiner_lab.serialize import complex_from_json, complex_to_json
 from steiner_lab.simplex import face_map
@@ -78,6 +78,20 @@ def test_the_kept_level_is_freed_by_the_next_enumeration():
     enumerate_cells(c_delta(1), 1)
     gc.collect()
     assert cell() is None
+
+
+def test_one_level_is_kept_across_both_enumerators():
+    """Cells and slice cells share the slot: a call of either kind frees the
+    level that the other kind kept, so at most one level is alive."""
+    A = complex_from_json(complex_to_json(c_delta(2)))
+    cell = weakref.ref(enumerate_cells(A, 1).cells[0])
+    u = identity_morphism(c_delta(2))
+    slice_cell = weakref.ref(enumerate_slice_cells(u, Chain.unit(0, "0"), 1)[0][0])
+    gc.collect()
+    assert cell() is None and slice_cell() is not None
+    enumerate_cells(c_delta(1), 1)
+    gc.collect()
+    assert slice_cell() is None
 
 
 def test_an_act_result_is_freed_once_its_caller_drops_it():

@@ -18,7 +18,6 @@ from steiner_lab import (
     source_iter,
     target,
     target_iter,
-    validate_cell,
 )
 from steiner_lab.cells import CellTableau, cell_problems, composable
 from steiner_lab.simplex import MonotoneMap, face_map
@@ -29,12 +28,12 @@ def triangle():
 
 
 def test_atom_is_a_cell():
-    assert validate_cell(atom_cell(triangle(), "0,1,2"))
+    assert not cell_problems(atom_cell(triangle(), "0,1,2"))
 
 
 def test_padded_object_identity_is_a_cell():
     obj = object_cell(triangle(), Chain.unit(0, "0"))
-    assert validate_cell(identity(identity(obj)))
+    assert not cell_problems(identity(identity(obj)))
 
 
 def test_augmentation_two_fails():
@@ -44,14 +43,27 @@ def test_augmentation_two_fails():
         (Chain.make(0, {"0": 1, "1": 1}),),
         (Chain.make(0, {"0": 1, "1": 1}),),
     )
-    assert not validate_cell(bad)
     assert any("augmentation" in p for p in cell_problems(bad))
 
 
 def test_structural_error_on_degree_mismatch():
     K = triangle()
     with pytest.raises(ValueError):
-        validate_cell(CellTableau(K, (Chain.unit(1, "0,1"),), (Chain.unit(1, "0,1"),)))
+        cell_problems(CellTableau(K, (Chain.unit(1, "0,1"),), (Chain.unit(1, "0,1"),)))
+
+
+@pytest.mark.parametrize(
+    "x0, x1, message",
+    [
+        ((), (), "equal-length nonempty"),
+        ((Chain.unit(0, "0"),), (Chain.unit(0, "0"), Chain.unit(1, "0,1")), "equal-length"),
+        ((Chain.unit(0, "9"),), (Chain.unit(0, "9"),), "outside the complex"),
+    ],
+    ids=["no rows", "unequal rows", "token outside"],
+)
+def test_structural_error_on_malformed_rows(x0, x1, message):
+    with pytest.raises(ValueError, match=message):
+        cell_problems(CellTableau(c_delta(1), x0, x1))
 
 
 def test_source_and_target_of_the_atom():
@@ -59,7 +71,7 @@ def test_source_and_target_of_the_atom():
     s, t = source(a), target(a)
     assert s.top == Chain.unit(1, "0,2")
     assert t.top == Chain.make(1, {"0,1": 1, "1,2": 1})
-    assert validate_cell(s) and validate_cell(t)
+    assert not cell_problems(s) and not cell_problems(t)
     assert source_iter(a, 0).top == Chain.unit(0, "0")
     assert target_iter(a, 0).top == Chain.unit(0, "2")
 
@@ -86,7 +98,7 @@ def test_compose_edges_of_the_triangle():
     right = atom_cell(K, "1,2")
     comp = compose(right, left, 0)
     assert comp.top == Chain.make(1, {"0,1": 1, "1,2": 1})
-    assert validate_cell(comp)
+    assert not cell_problems(comp)
 
 
 def test_compose_with_padded_object():
@@ -120,7 +132,7 @@ def test_composability_matches_the_iterated_boundaries():
                 if source_iter(pad(x, i), j) == target_iter(pad(y, i), j):
                     joined += 1
                     assert composable(x, y, j)
-                    assert validate_cell(compose(x, y, j))
+                    assert not cell_problems(compose(x, y, j))
                 else:
                     apart += 1
                     assert not composable(x, y, j)
@@ -191,7 +203,7 @@ def test_identity_of_every_enumerated_cell_is_valid():
     K = c_delta(3)
     for i in range(4):
         for cell in enumerate_cells(K, i).cells:
-            assert validate_cell(identity(cell))
+            assert not cell_problems(identity(cell))
 
 
 def test_objects_are_the_degree_zero_atoms():
@@ -205,7 +217,7 @@ def test_every_atom_validates():
     for K in (c_delta(3), c_delta(4)):
         for p in K.degrees():
             for t in K.tokens(p):
-                assert validate_cell(atom_cell(K, t))
+                assert not cell_problems(atom_cell(K, t))
 
 
 # -- abelianization -------------------------------------------------------------
@@ -243,7 +255,7 @@ def test_functor_property_of_map_cell():
         cells.extend(enumerate_cells(src, i).cells)
     for c in cells:
         image = map_cell(f, c)
-        assert validate_cell(image)
+        assert not cell_problems(image)
         if c.dim > 0:
             assert map_cell(f, source(c)) == source(image)
             assert map_cell(f, target(c)) == target(image)

@@ -16,7 +16,6 @@ from steiner_lab import (
     hom_enumerate,
     nerve,
     over_slice,
-    simplex_facet,
     solve,
     under_slice,
 )
@@ -52,13 +51,13 @@ from test_cells import two_loop_complex
 def test_facet_accessors():
     D2 = standard_simplex(2, 3)
     top = identity_map(2)
-    assert simplex_facet(D2, top, 2, [0, 2]) == MonotoneMap(1, 2, (0, 2))
-    loop = simplex_facet(D2, top, 2, [0, 0])
+    edge = MonotoneMap(1, 2, (0, 2))
+    assert D2.act(edge, top) == edge
+    loop = D2.act(MonotoneMap(1, 2, (0, 0)), top)
     assert loop == MonotoneMap(1, 2, (0, 0))
     # functoriality against two-step restriction
-    once = simplex_facet(D2, top, 2, [0, 1, 2])
-    twice = simplex_facet(D2, once, 2, [0, 2])
-    assert twice == simplex_facet(D2, top, 2, [0, 2])
+    once = D2.act(identity_map(2), top)
+    assert D2.act(edge, once) == D2.act(edge, top)
 
 
 @pytest.mark.parametrize(
@@ -198,9 +197,9 @@ def test_slice_projections_are_simplicial():
     y = vertex_map(2, 2)
     over_sp = over_slice(D2, y, 0)
     under_sp = under_slice(D2, vertex_map(2, 0), 0)
-    assert not simplicial_map_failures(over_slice_projection(D2, y, 0, over_sp), 2)
+    assert not simplicial_map_failures(over_slice_projection(D2, 0, over_sp), 2)
     assert not simplicial_map_failures(
-        under_slice_projection(D2, vertex_map(2, 0), 0, under_sp), 2
+        under_slice_projection(D2, 0, under_sp), 2
     )
 
 
@@ -296,8 +295,8 @@ def _pairs_by_brute_force(u, m, n, y=None):
         (yp, x)
         for x in X.simplices(n)
         for yp in Y.simplices(k)
-        if simplex_facet(Y, yp, k, range(m + 1, k + 1)) == u(n, x)
-        and (y is None or simplex_facet(Y, yp, k, range(m + 1)) == y)
+        if Y.act(MonotoneMap(n, k, tuple(range(m + 1, k + 1))), yp) == u(n, x)
+        and (y is None or Y.act(MonotoneMap(m, k, tuple(range(m + 1))), yp) == y)
     ]
 
 

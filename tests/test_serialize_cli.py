@@ -8,18 +8,16 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steiner_lab import Chain, DirComplex, c_delta, atom_cell, identity_morphism
+from steiner_lab import Chain, DirComplex, c_delta, identity_morphism
 from steiner_lab.cli import run
 from steiner_lab.serialize import (
-    cell_from_json,
-    cell_to_json,
     complex_from_json,
     complex_to_json,
     dumps,
     morphism_from_json,
     morphism_to_json,
 )
-from steiner_lab.simplex import MonotoneMap, c_of_map
+from steiner_lab.simplex import MonotoneMap, c_of_map, face_map
 from steiner_lab.tensor import tensor_complex
 
 
@@ -40,12 +38,6 @@ def test_morphism_round_trip():
     assert morphism_from_json(morphism_to_json(f)) == f
     ident = identity_morphism(c_delta(2))
     assert morphism_from_json(morphism_to_json(ident)) == ident
-
-
-def test_cell_round_trip():
-    K = c_delta(2)
-    cell = atom_cell(K, "0,1,2")
-    assert cell_from_json(K, cell_to_json(cell)) == cell
 
 
 # -- command line -----------------------------------------------------------------
@@ -153,12 +145,30 @@ def test_cli_rejects_unknown_choices(triangle_file, capsys, argv):
     (["slice-simplicial", "TRIANGLE", "9", "--cap", "1"], "no 0-simplex"),
     (["bisimplicial", "POINT", "--morphism", "IDENTITY", "--cap-m", "0", "--cap-n", "0"],
      "source does not match"),
+    # the edge to 1,2 with its ends at 0 and 1: the right shape, not a chain map
+    (["slice", "INTERVAL", "NOT_CHAIN_MAP", "0", "--cells", "1"], "d-compatibility broken"),
+    (["bisimplicial", "INTERVAL", "--morphism", "NOT_CHAIN_MAP", "--cap-m", "0",
+      "--cap-n", "0"], "d-compatibility broken"),
+    (["pushout", "INTERVAL", "TRIANGLE", "TRIANGLE", "NOT_CHAIN_MAP", "EDGE"],
+     "d-compatibility broken"),
 ])
 def test_cli_refusals_are_one_error_line(tmp_path, triangle_file, identity_file, capsys,
                                          argv, message):
-    point = tmp_path / "point.json"
-    point.write_text(dumps(complex_to_json(c_delta(0))))
-    files = {"TRIANGLE": triangle_file, "IDENTITY": identity_file, "POINT": str(point)}
+    from oracles import morphism_from_dict
+
+    files = {"TRIANGLE": triangle_file, "IDENTITY": identity_file}
+    not_chain_map = morphism_from_dict(c_delta(1), c_delta(2), {
+        "0": Chain.unit(0, "0"), "1": Chain.unit(0, "1"), "0,1": Chain.unit(1, "1,2"),
+    })
+    for name, data in (
+        ("POINT", complex_to_json(c_delta(0))),
+        ("INTERVAL", complex_to_json(c_delta(1))),
+        ("NOT_CHAIN_MAP", morphism_to_json(not_chain_map)),
+        ("EDGE", morphism_to_json(c_of_map(face_map(2, 0)))),
+    ):
+        path = files[name] = str(tmp_path / f"{name}.json")
+        with open(path, "w") as handle:
+            handle.write(dumps(data))
     assert run([files.get(a, a) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -393,22 +403,6 @@ def test_morphism_reader_rejects_malformed_json(change):
         morphism_from_json(data)
 
 
-@pytest.mark.parametrize(
-    "data",
-    [
-        {},
-        [{"0": 1}],
-        {"x0": 5, "x1": 5},
-        {"x0": [{"0": 1}], "x1": [{"0": 1}, {"0,1": 1}]},
-        {"x0": [{"9": 1}], "x1": [{"9": 1}]},
-    ],
-    ids=["no rows", "top-level list", "rows not lists", "unequal rows", "token outside"],
-)
-def test_cell_reader_rejects_malformed_json(data):
-    with pytest.raises(ValueError):
-        cell_from_json(c_delta(1), data)
-
-
 # -- fuzzing the JSON boundary ---------------------------------------------------
 
 def _complex_token_sites(data, prefix=()):
@@ -518,16 +512,14 @@ def test_cli_rejects_mutated_json_files(mutate_morphism, data):
             assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-def test_morphism_and_cell_readers_reject_non_integer_coefficients():
+def test_morphism_reader_rejects_non_integer_coefficients():
     data = morphism_to_json(identity_morphism(c_delta(1)))
     data["images"]["0,1"] = {"0,1": 1.0}
     with pytest.raises(ValueError, match="not an integer"):
         morphism_from_json(data)
-    K = c_delta(2)
-    data = cell_to_json(atom_cell(K, "0,1,2"))
-    data["x1"][2] = {"0,1,2": True}
+    data["images"]["0,1"] = {"0,1": True}
     with pytest.raises(ValueError, match="not an integer"):
-        cell_from_json(K, data)
+        morphism_from_json(data)
 
 
 def test_cli_usage_errors(tmp_path, capsys):

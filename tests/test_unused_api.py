@@ -1,5 +1,6 @@
-"""Every top-level function and class of the package is referenced somewhere,
-and those that only tests reach are declared.
+"""Every top-level function and class of the package, and every method and
+property of its classes, is referenced somewhere, and the top-level
+definitions that only tests reach are declared.
 
 A definition counts as referenced when its name appears as a name, an
 attribute or an imported name anywhere in ``src/``, ``tests/``,
@@ -17,21 +18,22 @@ PACKAGE = ROOT / "src" / "steiner_lab"
 FOLDERS = ("src", "tests", "scripts", "perfbench")
 
 # Definitions that only tests/ reference, by module; a re-export from
-# ``__init__.py`` is not a caller here.  Most are paper constructions whose
-# tests pin the paper's axioms.  A new test-only definition is declared
-# here, or gets a caller.
+# ``__init__.py`` is not a caller here.  Each is a paper construction whose
+# tests pin a law; a name that only restates another operation is not
+# declared but deleted, its callers using that operation.  A new test-only
+# definition is declared here, or gets a caller.
 TEST_ONLY = {
-    "cells.py": {"is_loopfree", "is_unitary", "validate_cell"},
+    "cells.py": {"is_loopfree", "is_unitary"},
     "nerves.py": {
-        "decalage_homotopy", "over_slice_projection", "simplex_facet",
-        "simplicial_map_failures", "standard_simplex", "under_slice_projection",
+        "decalage_homotopy", "over_slice_projection", "simplicial_map_failures",
+        "standard_simplex", "under_slice_projection",
     },
     "retract.py": {"from_slice_pair", "to_slice_pair"},
-    "serialize.py": {"cell_from_json", "morphism_to_json"},
+    "serialize.py": {"morphism_to_json"},
     "slices.py": {
         "identity_oplax", "pair_from_slice_family", "precompose_oplax",
         "slice_cell_from_pair", "slice_compose", "slice_functor",
-        "slice_source", "slice_target", "validate_slice_cell",
+        "slice_problems", "slice_source_iter", "slice_target_iter",
         "vertical_compose",
     },
 }
@@ -69,16 +71,38 @@ def _definitions(trees):
     ]
 
 
-def test_every_top_level_definition_is_referenced():
-    trees = _trees()
+def _methods(trees):
+    """(path, node) for each non-dunder method and property of a package class."""
+    return [
+        (path, node)
+        for path, cls in _definitions(trees)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
+def _unreferenced(trees, definitions):
     everywhere = collections.Counter()
     for tree in trees.values():
         everywhere.update(_references(tree))
-    unused = [
+    return [
         f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
-        for path, node in _definitions(trees)
+        for path, node in definitions
         if everywhere[node.name] == _references(node)[node.name]
     ]
+
+
+def test_every_top_level_definition_is_referenced():
+    trees = _trees()
+    unused = _unreferenced(trees, _definitions(trees))
+    assert not unused, "referenced nowhere outside their own definition: " + ", ".join(unused)
+
+
+def test_every_method_and_property_is_referenced():
+    trees = _trees()
+    unused = _unreferenced(trees, _methods(trees))
     assert not unused, "referenced nowhere outside their own definition: " + ", ".join(unused)
 
 
