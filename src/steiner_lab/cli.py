@@ -185,7 +185,7 @@ def cmd_slice_simplicial(args):
     print(dumps({
         "kind": "over" if args.over else "under",
         "vertex": args.vertex,
-        "complete": N.complete,
+        "complete": space.complete,
         "counts": [
             {"dim": n, "total": total, "nondegenerate": nd} for n, total, nd in counts
         ],
@@ -213,7 +213,7 @@ def cmd_bisimplicial(args):
     ]
     print(dumps({
         "caps": [args.cap_m, args.cap_n],
-        "complete": u.src.complete and u.dst.complete,
+        "complete": S.complete,
         "sizes": sizes,
     }), end="")
     return 0

@@ -4,7 +4,8 @@ the shift homotopy, and the bisimplicial comparison object.
 Simplicial sets are materialized as finite tables up to a dimension cap;
 simplex records are canonical hashable values (monotone maps, complex
 morphisms, pairs of those), so equality is syntactic.  A space keeps its
-levels only: ``act`` applies the operator each time it is called, and a
+levels, each built with its completeness, so a space cut from others carries
+their flag; its action applies the operator each time it is called, and a
 nerve's codes below are the one memo of an action.
 
 The n-simplices of a nerve are the morphisms out of cDelta(n).  Levels 0
@@ -29,13 +30,14 @@ morphism.  Any other value, an operator past the cap or of another
 dimension, and a code not seen yet are composed; a new result from a coded
 simplex is coded then.  ``act_all`` acts on a list of simplices of one
 level with one lookup of c(phi) and its gather; whole-level callers, the
-functoriality tables of ``identity_failures`` among them, go through it,
-and ``act`` is its one-simplex case.
+functoriality tables of ``identity_failures`` among them, go through it.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .chains import AdcMorphism, Chain, _combine, _gather, _matched, _toposort
@@ -46,6 +48,7 @@ from .simplex import (
     all_monotone_maps,
     c_delta,
     c_of_map,
+    constant_map,
     degeneracy_map,
     face_map,
     identity_map,
@@ -69,18 +72,17 @@ def _through(through, cap):
 class SimplicialSetTrunc:
     """A simplicial set known up to ``cap``: level lists plus the operator action.
 
-    Each level is built once and kept; ``act`` calls ``act_fn`` every time
-    and keeps nothing, so a result lives as long as its caller holds it.
-    ``act_all`` acts on a list of simplices of one level, through
-    ``act_all_fn`` when given, else through ``act`` on each.
-    ``complete`` turns False once a level is built that may miss simplices.
+    ``level_fn(space, n)`` gives level n and whether it is complete; it is
+    handed the space, so no space closes over itself.  Each level is built
+    once and kept, and ``complete`` turns False once one may miss simplices.
+    ``act_all`` calls ``act_all_fn`` every time and keeps nothing, so a
+    result lives as long as its caller holds it; ``act`` is its one-simplex case.
     """
 
-    def __init__(self, cap, level_fn, act_fn, act_all_fn=None):
+    def __init__(self, cap, level_fn, act_all_fn):
         self.cap = cap
         self.complete = True
         self._level_fn = level_fn
-        self._act_fn = act_fn
         self._act_all_fn = act_all_fn
         self._levels = {}
 
@@ -88,16 +90,16 @@ class SimplicialSetTrunc:
         if not 0 <= n <= self.cap:
             raise ValueError(f"dimension {n} beyond cap {self.cap}")
         if n not in self._levels:
-            self._levels[n] = list(self._level_fn(n))
+            level, complete = self._level_fn(self, n)
+            self.complete &= complete
+            self._levels[n] = list(level)
         return self._levels[n]
 
     def act(self, phi, x):
-        return self._act_fn(phi, x)
+        return self._act_all_fn(phi, (x,))[0]
 
     def act_all(self, phi, xs):
         """[X(phi)(x) for x in xs], for simplices xs of dimension phi.dst."""
-        if self._act_all_fn is None:
-            return [self.act(phi, x) for x in xs]
         return self._act_all_fn(phi, xs)
 
     def degenerate(self, n):
@@ -208,8 +210,10 @@ def _commutations(f, through):
     """((phi, x), f(X(phi) x), Y(phi) f(x)) for every operator phi within
     ``through`` and every simplex x of f's source that phi acts on."""
     for n, m, phi in _operators(through):
-        for x in f.src.simplices(n):
-            yield (phi, x), f(m, f.src.act(phi, x)), f.dst.act(phi, f(n, x))
+        xs = f.src.simplices(n)
+        images = f.dst.act_all(phi, [f(n, x) for x in xs])
+        for x, y, z in zip(xs, f.src.act_all(phi, xs), images):
+            yield (phi, x), f(m, y), z
 
 
 def simplicial_map_failures(f, through=None):
@@ -222,8 +226,8 @@ def standard_simplex(N, cap):
     """The representable simplicial set on Delta(N), truncated."""
     return SimplicialSetTrunc(
         cap,
-        lambda n: all_monotone_maps(n, N),
-        lambda phi, x: x.compose(phi),
+        lambda space, n: (all_monotone_maps(n, N), True),
+        lambda phi, xs: [x.compose(phi) for x in xs],
     )
 
 
@@ -303,26 +307,18 @@ def _grown_level(n, K, lower, act_all, coeff_bound):
     return _grow(c_delta(n), K, pairs, position, fillers, {}, coeff_bound)
 
 
-class _ChainIds(dict):
-    """Chain ids in first-seen order: a missing chain gets the next id."""
-
-    def __missing__(self, chain):
-        i = self[chain] = len(self)
-        return i
-
-
 def nerve(K, cap, coeff_bound=None):
     """The nerve of nu(K): n-simplices are morphisms from the n-simplex chains.
 
-    The chain ids of its codes (see the module docstring) are kept here,
-    the zero chain of degree p seeded as id p.  Every code ends in the zero
-    ids 0..cap, so a gather finds the zero of each degree up to the cap in
-    any code.
+    The chain ids of its codes (see the module docstring) are kept here in
+    first-seen order, the zero chain of degree p seeded as id p.  Every code
+    ends in the zero ids 0..cap, so a gather finds the zero of each degree
+    up to the cap in any code.
     """
     if cap < 0:
         raise ValueError(f"nerve cap must be non-negative, got {cap}")
     zeros = tuple(range(cap + 1))
-    ids = _ChainIds({Chain.zero(p): p for p in zeros})
+    ids = defaultdict(itertools.count(cap + 1).__next__, {Chain.zero(p): p for p in zeros})
     codes = {}  # simplex -> code
     coded = {}  # code -> simplex
 
@@ -331,13 +327,14 @@ def nerve(K, cap, coeff_bound=None):
         codes.setdefault(x, code)
         return x
 
-    def level(n):
+    def level(space, n):
         if n < 2:
             morphisms, complete = enumerate_morphisms(c_delta(n), K, coeff_bound=coeff_bound)
         else:
-            morphisms, complete = _grown_level(n, K, N.simplices(n - 1), act_all, coeff_bound)
-        N.complete &= complete
-        return [register(x, tuple(map(ids.__getitem__, x.images)) + zeros) for x in morphisms]
+            morphisms, complete = _grown_level(n, K, space.simplices(n - 1), act_all, coeff_bound)
+        return [
+            register(x, tuple(map(ids.__getitem__, x.images)) + zeros) for x in morphisms
+        ], complete
 
     def acted(c, gather, x):
         """x.after(c), for c = c(phi) with phi within the cap, c's plan read by ``gather``."""
@@ -355,8 +352,7 @@ def nerve(K, cap, coeff_bound=None):
         gather = c.plan.gather
         return [acted(c, gather, x) for x in xs]
 
-    N = SimplicialSetTrunc(cap, level, lambda phi, x: act_all(phi, (x,))[0], act_all)
-    return N
+    return SimplicialSetTrunc(cap, level, act_all)
 
 
 def nerve_map(f, src_nerve, dst_nerve):
@@ -371,11 +367,13 @@ def _slice(Y, y, m, face, join):
     if cap < 0:
         raise ValueError("cap exceeded: the slice needs deeper tables")
 
-    def level(n):
+    def level(space, n):
         above = Y.simplices(m + 1 + n)
-        return [yp for yp, z in zip(above, Y.act_all(face(n), above)) if z == y]
+        return [yp for yp, z in zip(above, Y.act_all(face(n), above)) if z == y], Y.complete
 
-    return SimplicialSetTrunc(cap, level, lambda psi, yp: Y.act(join(psi), yp))
+    # one simplex at a time through Y.act: perfbench traces act, not
+    # act_all, and the nerve slices keep its nerves.act count nonzero
+    return SimplicialSetTrunc(cap, level, lambda psi, yps: [Y.act(join(psi), yp) for yp in yps])
 
 
 def under_slice(Y, y, m):
@@ -419,11 +417,15 @@ def map_under_slice(u, y, m):
     m-simplex y of Y: pairs (y', x) with y' in the under-slice of Y at y
     and final face u(x)."""
     X, S = u.src, under_slice(u.dst, y, m)
-    return SimplicialSetTrunc(
-        min(S.cap, X.cap),
-        lambda n: _pairs_over_final_face(u, m, n, S.simplices(n)),
-        lambda psi, pair: (S.act(psi, pair[0]), X.act(psi, pair[1])),
-    )
+
+    def level(space, n):
+        return _pairs_over_final_face(u, m, n, S.simplices(n)), S.complete and X.complete
+
+    def act_all(psi, pairs):
+        ys, xs = [y for y, _ in pairs], [x for _, x in pairs]
+        return list(zip(S.act_all(psi, ys), X.act_all(psi, xs)))
+
+    return SimplicialSetTrunc(min(S.cap, X.cap), level, act_all)
 
 
 @dataclass(frozen=True)
@@ -442,27 +444,20 @@ class ShiftContraction:
 
     @property
     def basepoint(self):
-        sigma0 = degeneracy_map(self.m, 0)
-        return self.ambient.act(sigma0, self.simplex)
+        return self.ambient.act(degeneracy_map(self.m, 0), self.simplex)
 
     def section(self, n, xp):
-        point = self.basepoint
-        for k in range(n):
-            point = self.space.act(degeneracy_map(k, 0), point)
-        return point
+        """The degenerate n-simplex on the basepoint."""
+        return self.space.act(constant_map(n, 0, 0), self.basepoint)
 
     def homotopy(self, phi, xp):
-        theta = _shift_reindex(phi, phi.src, self.m)
-        return self.ambient.act(theta, xp)
+        return self.ambient.act(_shift_reindex(phi, phi.src, self.m), xp)
 
 
 def _shift_reindex(phi, m, n):
     """The endomorphism of Delta(m+1+n) folding the first block along phi."""
-    image = []
-    for i in range(m + 1):
-        image.append(i if phi(i) == 0 else m + 1)
-    image.extend(range(m + 1, m + 2 + n))
-    return MonotoneMap(m + 1 + n, m + 1 + n, tuple(image))
+    image = (*(i if phi(i) == 0 else m + 1 for i in range(m + 1)), *range(m + 1, m + 2 + n))
+    return MonotoneMap(m + 1 + n, m + 1 + n, image)
 
 
 def decalage_homotopy(X, x, n):
@@ -471,11 +466,13 @@ def decalage_homotopy(X, x, n):
 
 
 class BisimplicialTrunc:
-    """A bisimplicial set known up to caps in each direction."""
+    """A bisimplicial set known up to caps in each direction, its levels
+    built with their completeness as a ``SimplicialSetTrunc``'s are."""
 
     def __init__(self, cap_m, cap_n, level_fn, act_fn):
         self.cap_m = cap_m
         self.cap_n = cap_n
+        self.complete = True
         self._level_fn = level_fn
         self._act_fn = act_fn
         self._levels = {}
@@ -484,18 +481,19 @@ class BisimplicialTrunc:
         if not (0 <= m <= self.cap_m and 0 <= n <= self.cap_n):
             raise ValueError(f"bidegree ({m},{n}) beyond caps")
         if (m, n) not in self._levels:
-            self._levels[(m, n)] = list(self._level_fn(m, n))
+            level, complete = self._level_fn(m, n)
+            self.complete &= complete
+            self._levels[(m, n)] = list(level)
         return self._levels[(m, n)]
 
     def act(self, phi, psi, x):
         return self._act_fn(phi, psi, x)
 
     def diagonal(self):
-        cap = min(self.cap_m, self.cap_n)
         return SimplicialSetTrunc(
-            cap,
-            lambda n: self.simplices(n, n),
-            lambda phi, x: self.act(phi, phi, x),
+            min(self.cap_m, self.cap_n),
+            lambda space, n: (self.simplices(n, n), self.complete),
+            lambda phi, xs: [self.act(phi, phi, x) for x in xs],
         )
 
 
@@ -513,7 +511,7 @@ def bisimplicial_comparison(u, cap_m, cap_n):
         raise ValueError("cap exceeded: deeper tables needed for S(u)")
 
     def level(m, n):
-        return _pairs_over_final_face(u, m, n, Y.simplices(m + 1 + n))
+        return _pairs_over_final_face(u, m, n, Y.simplices(m + 1 + n)), X.complete and Y.complete
 
     def act(phi, psi, pair):
         yp, x = pair

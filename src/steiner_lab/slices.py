@@ -173,6 +173,8 @@ def vertical_compose(beta, alpha, K):
     """The vertical composite beta . alpha of transformations between
     functors out of nu(K): the co-pairing of beta and alpha after the fold.
     Raises ValueError unless beta starts where alpha ends."""
+    if beta.source_functor(K) != alpha.target_functor(K):
+        raise ValueError("transformations disagree on the base: beta must start where alpha ends")
     Q, fold = cylinder_fold(K)
     return OplaxTransformation(Q.induced(beta.h, alpha.h).after(fold))
 

@@ -13,7 +13,14 @@ import pathlib
 import weakref
 
 from steiner_lab import Chain, c_delta, enumerate_cells, enumerate_slice_cells, identity_morphism
-from steiner_lab.nerves import standard_simplex
+from steiner_lab.nerves import (
+    bisimplicial_comparison,
+    identity_simplicial_map,
+    map_under_slice,
+    nerve,
+    standard_simplex,
+    under_slice,
+)
 from steiner_lab.serialize import complex_from_json, complex_to_json
 from steiner_lab.simplex import face_map
 
@@ -101,3 +108,23 @@ def test_an_act_result_is_freed_once_its_caller_drops_it():
     del y
     gc.collect()
     assert result() is None
+
+
+def test_dropped_spaces_are_freed_without_the_cycle_collector():
+    """A nerve with built levels and the spaces cut from it hold no
+    reference cycle, so each is freed as soon as it is dropped."""
+    gc.collect()
+    gc.disable()
+    try:
+        N = nerve(c_delta(2), 3)
+        y = N.simplices(0)[0]
+        u = identity_simplicial_map(N)
+        S, _ = bisimplicial_comparison(u, 1, 1)
+        spaces = [N, under_slice(N, y, 0), map_under_slice(u, y, 0), S.diagonal()]
+        for space in spaces:
+            space.counts()
+        refs = [weakref.ref(x) for x in spaces + [S]]
+        del N, y, u, S, spaces, space
+        assert [r() for r in refs] == [None] * 5
+    finally:
+        gc.enable()

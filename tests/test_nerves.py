@@ -424,10 +424,10 @@ def _space_with_fault(fault):
         "outside": c_of_map(MonotoneMap(1, 3, (0, 3))),
     }[fault]
 
-    def act(phi, x):
-        return wrong if (phi, x) == (face_map(2, 0), top) else N.act(phi, x)
+    def act_all(phi, xs):
+        return [wrong if (phi, x) == (face_map(2, 0), top) else N.act(phi, x) for x in xs]
 
-    return SimplicialSetTrunc(3, N.simplices, act)
+    return SimplicialSetTrunc(3, lambda space, n: (N.simplices(n), N.complete), act_all)
 
 
 @pytest.mark.parametrize("generators_only", [False, True])
@@ -556,6 +556,40 @@ def test_bounded_enumeration_stays_marked_incomplete():
     assert len(morphisms) == 6 and not complete
     N = nerve(K, 1, coeff_bound=1)
     assert [len(N.simplices(n)) for n in range(2)] == [2, 6] and not N.complete
+
+
+def _comparison(N):
+    return bisimplicial_comparison(identity_simplicial_map(N), 1, 1)[0]
+
+
+DERIVED_SPACES = {
+    "under slice": lambda N, y: under_slice(N, y, 0),
+    "over slice": lambda N, y: over_slice(N, y, 0),
+    "relative slice": lambda N, y: map_under_slice(identity_simplicial_map(N), y, 0),
+    "diagonal of S(u)": lambda N, y: _comparison(N).diagonal(),
+}
+
+
+@pytest.mark.parametrize("K, bound", [(two_loop_complex(), 1), (c_delta(2), None)],
+                         ids=["two-loop bound 1", "triangle"])
+def test_completeness_reaches_every_derived_space(K, bound):
+    """Once their levels are built, the spaces cut from a nerve report its
+    flag: the slices at a vertex, the relative slice of the identity, S(u)
+    and its diagonal, each over a nerve whose levels past 0 only it builds."""
+    complete = bound is None
+    N = nerve(K, 3, coeff_bound=bound)
+    N.counts()
+    assert N.complete is complete
+    for name, derive in DERIVED_SPACES.items():
+        N = nerve(K, 3, coeff_bound=bound)
+        space = derive(N, N.simplices(0)[0])
+        for n in range(space.cap + 1):
+            space.simplices(n)
+        assert space.complete is complete, name
+    S = _comparison(nerve(K, 3, coeff_bound=bound))
+    for m, n in itertools.product(range(2), repeat=2):
+        S.simplices(m, n)
+    assert S.complete is complete
 
 
 @pytest.mark.parametrize("check", ["identity_failures", "counts", "simplicial_map_failures"])
