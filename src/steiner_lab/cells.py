@@ -94,7 +94,7 @@ def object_cell(K, chain):
 def _atom(K, token):
     """The double row of a basis element, by iterated sign splitting of d: a
     cell iff both degree-0 entries have augmentation 1."""
-    x0 = x1 = (K.unit_chain(token),)
+    x0 = x1 = (Chain.unit(K.degree_of(token), token),)
     for _ in range(K.degree_of(token)):
         x0 = (pos_neg_decompose(K.d(x0[0]))[1],) + x0
         x1 = (pos_neg_decompose(K.d(x1[0]))[0],) + x1

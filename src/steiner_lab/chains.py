@@ -28,16 +28,16 @@ from operator import itemgetter
 
 _new = tuple.__new__
 _set = object.__setattr__
-_tuple_eq = tuple.__eq__
-_tuple_ne = tuple.__ne__
 
 
 class Chain(tuple):
     """Integer linear combination of same-degree basis tokens.
 
-    An immutable pair ``(degree, coeffs)``: ``coeffs`` is sorted by token and
-    stores no zero coefficients, so two chains are equal iff they are the
-    same combination.  A chain never equals a plain tuple.
+    The immutable pair ``(degree, coeffs)`` itself: ``coeffs`` is sorted by
+    token and stores no zero coefficients, so two chains are equal iff they
+    are the same combination.  Equality and hashing are ``tuple``'s, so a
+    chain equals the plain pair it stores.  ``Chain.unit(degree, token)``
+    is a basis chain; ``Chain.make`` builds any other from its terms.
     """
 
     __slots__ = ()
@@ -50,14 +50,6 @@ class Chain(tuple):
 
     def __getnewargs__(self):
         return tuple(self)
-
-    def __eq__(self, other):
-        return other.__class__ is Chain and _tuple_eq(self, other)
-
-    def __ne__(self, other):
-        return other.__class__ is not Chain or _tuple_ne(self, other)
-
-    __hash__ = tuple.__hash__
 
     def __repr__(self):
         return f"Chain(degree={self[0]!r}, coeffs={self[1]!r})"
@@ -73,18 +65,8 @@ class Chain(tuple):
         return _ZEROS[degree] if 0 <= degree < len(_ZEROS) else Chain(degree, ())
 
     @staticmethod
-    def unit(degree, token, coeff=1):
-        coeff = int(coeff)
-        return Chain(degree, ((token, coeff),) if coeff else ())
-
-    def items(self):
-        return self.coeffs
-
-    def coeff(self, token):
-        for t, c in self.coeffs:
-            if t == token:
-                return c
-        return 0
+    def unit(degree, token):
+        return Chain(degree, ((token, 1),))
 
     def support(self):
         return tuple(t for t, _ in self.coeffs)
@@ -302,10 +284,7 @@ class DirComplex:
     def e(self, chain):
         if chain.degree != 0:
             raise ValueError("augmentation applies to degree-0 chains")
-        return sum(c * self.aug_of(t) for t, c in chain.items())
-
-    def unit_chain(self, token):
-        return Chain.unit(self._degree_of[token], token)
+        return sum(c * self.aug_of(t) for t, c in chain.coeffs)
 
     # -- identity ----------------------------------------------------------
 

@@ -257,7 +257,7 @@ def cmd_export_dot(args):
         if p == 0:
             continue
         for t in K.tokens(p):
-            for s, coeff in K.diff_of(t).items():
+            for s, coeff in K.diff_of(t).coeffs:
                 style = "solid" if coeff > 0 else "dashed"
                 lines.append(f'  {_dot_id(t)} -> {_dot_id(s)} [style={style}, label="{coeff}"];')
     lines.append("}")

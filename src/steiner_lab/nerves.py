@@ -260,7 +260,7 @@ def _grow(src, dst, partials, position, tokens, fixed, coeff_bound):
     for token in tokens:
         p = src.degree_of(token)
         pin = fixed.get(token)
-        faces = src.diff_of(token).items() if p else ()
+        faces = src.diff_of(token).coeffs if p else ()
         key_of = operator.itemgetter(*[position[t] for t, _ in faces]) if faces else lambda _: ()
         candidates = {}  # face images -> the images of token, as 1-tuples
         grown = []

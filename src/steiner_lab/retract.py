@@ -54,7 +54,9 @@ from .simplex import (
     token_simplex,
     vertex_map,
 )
-from .slices import OplaxTransformation, cylinder_fold
+from .slices import (
+    INTERVAL_EDGE, INTERVAL_SRC, INTERVAL_TGT, OplaxTransformation, cylinder_fold, interval,
+)
 from .tensor import (
     pushout_complex,
     tensor_chains,
@@ -77,23 +79,22 @@ def _shift(tup, k):
 @lru_cache(maxsize=MAP_CACHE_SIZE)
 def _cylinder_map(psi):
     """id (x) c(psi): interval (x) cDelta(psi.src) -> interval (x) cDelta(psi.dst)."""
-    return tensor_morphism(identity_morphism(c_delta(1)), c_of_map(psi))
+    return tensor_morphism(identity_morphism(interval()), c_of_map(psi))
 
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)
 def cylinder_to_cone(n):
     """interval (x) cDelta(n) -> cDelta(1+n): flatten the 0-end to the cone
     point, embed the 1-end as the final face, send prisms to cones."""
-    I = c_delta(1)
     Kn = c_delta(n)
-    src = tensor_complex(I, Kn)
+    src = tensor_complex(interval(), Kn)
     dst = c_delta(1 + n)
     images = {}
     for token, p in Kn.graded():
         shifted = _shift(token_simplex(token), 1)
-        images[tensor_token("0", token)] = simplex_chain((0,)) if p == 0 else Chain.zero(p)
-        images[tensor_token("1", token)] = simplex_chain(shifted)
-        images[tensor_token("0,1", token)] = simplex_chain((0,) + shifted)
+        images[tensor_token(INTERVAL_SRC, token)] = simplex_chain((0,)) if p == 0 else Chain.zero(p)
+        images[tensor_token(INTERVAL_TGT, token)] = simplex_chain(shifted)
+        images[tensor_token(INTERVAL_EDGE, token)] = simplex_chain((0,) + shifted)
     return AdcMorphism(src, dst, images_in_basis_order(src, images))
 
 
@@ -102,7 +103,7 @@ def attachment_pushout(m, n):
     """cDelta(m+1+n) glued to a cylinder over its final n-face."""
     return pushout_complex(
         c_of_map(final_inclusion(m, n)),
-        tensor_injection(c_delta(1), c_delta(n), "0"),
+        tensor_injection(interval(), c_delta(n), INTERVAL_SRC),
     )
 
 
@@ -120,11 +121,12 @@ def cylinder_attachment(m, n):
         r = sum(1 for i in tup if i <= m)
         if r == 0:
             back = _shift(tup, -(m + 1))
-            return P.right.apply(tensor_chains(Chain.unit(0, "1"), simplex_chain(back)))
+            return P.right.apply(tensor_chains(Chain.unit(0, INTERVAL_TGT), simplex_chain(back)))
         chain = P.left.apply(simplex_chain(tup))
         if r == 1 and len(tup) > 1:
             back = _shift(tup[1:], -(m + 1))
-            chain = chain + P.right.apply(tensor_chains(Chain.unit(1, "0,1"), simplex_chain(back)))
+            prism = tensor_chains(Chain.unit(1, INTERVAL_EDGE), simplex_chain(back))
+            chain = chain + P.right.apply(prism)
         return chain
 
     return simplex_morphism(m + 1 + n, P.complex, image)
@@ -167,7 +169,7 @@ def wedge_projection(m, n):
     middle vertex, killing those spanning it in more than two steps."""
     P = wedge_pushout(m, n)
     return simplex_morphism(m + 1 + n, P.complex, lambda tup: Chain.make(len(tup) - 1, [
-        item for term in _wedge_tuple_terms(m, tup) for item in _wedge_name(m, term, P).items()
+        item for term in _wedge_tuple_terms(m, tup) for item in _wedge_name(m, term, P).coeffs
     ]))
 
 
@@ -236,8 +238,8 @@ def from_slice_pair(a, T, n, c):
         if tup == (0,):
             return c
         if tup[0] == 0:
-            return T.h.image_of(tensor_token("0,1", simplex_token(_shift(tup[1:], -1))))
-        return T.h.image_of(tensor_token("1", simplex_token(_shift(tup, -1))))
+            return T.h.image_of(tensor_token(INTERVAL_EDGE, simplex_token(_shift(tup[1:], -1))))
+        return T.h.image_of(tensor_token(INTERVAL_TGT, simplex_token(_shift(tup, -1))))
 
     return simplex_morphism(1 + n, T.h.target, image)
 

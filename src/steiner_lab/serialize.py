@@ -23,7 +23,7 @@ from .chains import AdcMorphism, Chain, DirComplex, morphism_shape_problems
 
 
 def chain_to_json(chain):
-    return {t: c for t, c in chain.items()}
+    return dict(chain.coeffs)
 
 
 def _json_object(data, what):

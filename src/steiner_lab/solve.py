@@ -73,7 +73,7 @@ def _peel_data(K, p):
             index = {t: r for r, t in enumerate(coords)}
             groups = [[] for _ in coords]
             for t in K.tokens(p):
-                col = sorted((index[c], a) for c, a in K.diff_of(t).items())
+                col = sorted((index[c], a) for c, a in K.diff_of(t).coeffs)
                 if not col or col[0][1] <= 0:
                     break
                 (top, a), others = col[0], tuple(col[1:])
@@ -179,7 +179,7 @@ def _dispatch(K, p, target, bound):
         index, groups = data
         if p:
             residual = [0] * len(groups)
-            for t, c in target.items():
+            for t, c in target.coeffs:
                 if t not in index:
                     return SolveResult((), True)
                 residual[index[t]] = c
@@ -188,7 +188,7 @@ def _dispatch(K, p, target, bound):
         chains = _peel_solve(p, groups, residual)
         complete = True
         if bound is not None:
-            kept = [z for z in chains if all(c <= bound for _, c in z.items())]
+            kept = [z for z in chains if all(c <= bound for _, c in z.coeffs)]
             complete = len(kept) == len(chains)
             chains = kept
     else:

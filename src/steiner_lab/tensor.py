@@ -38,8 +38,8 @@ def tensor_chains(x, y):
         x.degree + y.degree,
         [
             (tensor_token(a, b), ca * cb)
-            for a, ca in x.items()
-            for b, cb in y.items()
+            for a, ca in x.coeffs
+            for b, cb in y.coeffs
         ],
     )
 
@@ -63,12 +63,11 @@ def tensor_complex(K, L):
                     if p + q == 0:
                         aug[token] = K.aug_of(a) * L.aug_of(b)
                         continue
-                    d = Chain.zero(p + q - 1)
-                    if p > 0:
-                        d = d + tensor_chains(K.diff_of(a), Chain.unit(q, b))
-                    if q > 0:
-                        d = d + (-1) ** p * tensor_chains(Chain.unit(p, a), L.diff_of(b))
-                    diff[token] = d
+                    da = K.diff_of(a).coeffs if p else ()
+                    db = L.diff_of(b).coeffs if q else ()
+                    diff[token] = Chain.make(p + q - 1, [
+                        (tensor_token(s, b), c) for s, c in da
+                    ] + [(tensor_token(a, s), (-1) ** p * c) for s, c in db])
     return DirComplex(basis, diff, aug)
 
 
@@ -101,9 +100,9 @@ def rigid_mono_check(f):
     """True iff f is injective and sends basis elements to basis elements."""
     seen = set()
     for image in f.images:
-        if len(image.items()) != 1 or image.items()[0][1] != 1:
+        if len(image.coeffs) != 1 or image.coeffs[0][1] != 1:
             return False
-        target_token = image.items()[0][0]
+        target_token = image.coeffs[0][0]
         if target_token in seen:
             return False
         seen.add(target_token)
@@ -181,7 +180,7 @@ def pushout_complex(f, g):
                 aug[name] = X.aug_of(token)
             else:
                 diff[name] = Chain.make(
-                    p - 1, [(name_of(t), c) for t, c in X.diff_of(token).items()]
+                    p - 1, [(name_of(t), c) for t, c in X.diff_of(token).coeffs]
                 )
     P = DirComplex(basis, diff, aug)
     left, right = (

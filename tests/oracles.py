@@ -46,7 +46,7 @@ def brute_morphisms(src, dst, bound, fixed=None):
                             continue
                     else:
                         pushed = Chain.zero(p - 1)
-                        for t, c in src.diff_of(token).items():
+                        for t, c in src.diff_of(token).coeffs:
                             pushed = pushed + c * assignment[t]
                         image = dst.d(z) if not z.is_zero else Chain.zero(p - 1)
                         if image != pushed:
@@ -113,16 +113,16 @@ def join_complex(K, L):
         for x, p in C.graded():
             basis[p].append(name.format(x))
             if p:
-                faces = {name.format(t): c for t, c in C.diff_of(x).items()}
+                faces = {name.format(t): c for t, c in C.diff_of(x).coeffs}
                 diff[name.format(x)] = Chain.make(p - 1, faces)
             else:
                 aug[name.format(x)] = C.aug_of(x)
     for x, p in K.graded():
         for y, q in L.graded():
             dx = [(f"*{y}", K.aug_of(x))] if p == 0 else [
-                (f"{t}*{y}", c) for t, c in K.diff_of(x).items()]
+                (f"{t}*{y}", c) for t, c in K.diff_of(x).coeffs]
             dy = [(f"{x}*", L.aug_of(y))] if q == 0 else [
-                (f"{x}*{t}", c) for t, c in L.diff_of(y).items()]
+                (f"{x}*{t}", c) for t, c in L.diff_of(y).coeffs]
             sign = (-1) ** (p + 1)
             basis[p + q + 1].append(f"{x}*{y}")
             diff[f"{x}*{y}"] = Chain.make(p + q, dx + [(t, sign * c) for t, c in dy])

@@ -66,6 +66,30 @@ def test_structural_error_on_malformed_rows(x0, x1, message):
         cell_problems(CellTableau(c_delta(1), x0, x1))
 
 
+@pytest.mark.parametrize(
+    "x0, x1, problems",
+    [
+        (
+            (Chain.make(0, {"0": 2, "1": -1}),),
+            (Chain.make(0, {"0": 2, "1": -1}),),
+            ["lower entry in degree 0 is not positive", "upper entry in degree 0 is not positive"],
+        ),
+        (
+            (Chain.unit(0, "0"), Chain.unit(1, "0,1")),
+            (Chain.unit(0, "0"), Chain.unit(1, "0,1")),
+            [
+                "d of lower degree-1 entry is not the row difference",
+                "d of upper degree-1 entry is not the row difference",
+            ],
+        ),
+        ((Chain.unit(0, "0"),), (Chain.unit(0, "1"),), ["top entries differ"]),
+    ],
+    ids=["not positive", "not the row difference", "top entries differ"],
+)
+def test_cell_problems_name_each_broken_condition(x0, x1, problems):
+    assert cell_problems(CellTableau(c_delta(1), x0, x1)) == problems
+
+
 def test_source_and_target_of_the_atom():
     a = atom_cell(triangle(), "0,1,2")
     s, t = source(a), target(a)

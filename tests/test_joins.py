@@ -55,7 +55,7 @@ def test_simplex_joins_relabel_to_simplices(m, n):
     renamed = {names[t]: J.diff_of(t) for t, p in J.graded() if p}
     for token, chain in renamed.items():
         assert D.diff_of(token) == Chain.make(
-            chain.degree, [(names[t], c) for t, c in chain.items()]
+            chain.degree, [(names[t], c) for t, c in chain.coeffs]
         )
     assert all(J.aug_of(t) == D.aug_of(names[t]) for t in J.tokens(0))
 

@@ -83,7 +83,7 @@ def test_hom_enumeration_matches_brute_force(n, K, bound):
     for f in ours - brute:
         assert any(
             c > bound for p in f.source.degrees() for t in f.source.tokens(p)
-            for _, c in f.image_of(t).items()
+            for _, c in f.image_of(t).coeffs
         )
 
 
@@ -525,7 +525,7 @@ def _in_token_order(morphisms):
 SQUARE = _shuffled(tensor_complex(c_delta(1), c_delta(1)), seed=3)
 SQUARE_VERTEX = Chain.unit(0, SQUARE.tokens(0)[0])
 SQUARE_EDGE = Chain.unit(1, next(  # an edge out of SQUARE_VERTEX
-    t for t in SQUARE.tokens(1) if SQUARE.diff_of(t).coeff(SQUARE.tokens(0)[0]) == -1
+    t for t in SQUARE.tokens(1) if dict(SQUARE.diff_of(t).coeffs).get(SQUARE.tokens(0)[0]) == -1
 ))
 
 # (source, target, fixed, coeff_bound, the oracle's bound, complete)
@@ -715,7 +715,7 @@ def _level_digest(N, cap):
     for n in range(cap + 1):
         for x in N.simplices(n):
             K = x.source
-            items = sorted((t, x.image_of(t).items()) for p in K.degrees() for t in K.tokens(p))
+            items = sorted((t, x.image_of(t).coeffs) for p in K.degrees() for t in K.tokens(p))
             h.update(repr(items).encode())
         h.update(b"|")
     return h.hexdigest()[:16]

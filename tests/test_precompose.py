@@ -24,7 +24,7 @@ def labelled(K, L):
     images = {}
     for p in K.degrees():
         for k, token in enumerate(K.tokens(p)):
-            images[token] = Chain.unit(p, L.tokens(p)[0], k + 1)
+            images[token] = (k + 1) * Chain.unit(p, L.tokens(p)[0])
     return morphism_from_dict(K, L, images)
 
 

@@ -38,6 +38,7 @@ from steiner_lab.simplex import (
     c_of_map,
     constant_map,
     degeneracy_map,
+    face_map,
     final_inclusion,
     identity_map,
 )
@@ -325,6 +326,16 @@ def test_a_faulty_family_sweeps_every_instance(monkeypatch, inject, checks, name
     assert failed == IdentityResult(name, False, passing.instances, counterexample)
 
 
+def test_unequal_maps_name_their_first_difference():
+    d0, d1 = c_of_map(face_map(2, 0)), c_of_map(face_map(2, 1))
+    assert retract._equal_maps("faces", d0, d1) == IdentityResult(
+        "faces", False, 1, "at 0: (1) vs (0)"
+    )
+    assert retract._equal_maps("ends", d0, identity_morphism(c_delta(2))) == IdentityResult(
+        "ends", False, 1, "different endpoints"
+    )
+
+
 def test_suite_report_formats():
     report = verify_suite(0, 0)
     text = str(report)
@@ -492,7 +503,7 @@ def test_cone_atom_recursion():
                 chain.degree + 1,
                 [
                     (simplex_token((0,) + token_simplex(t)), coeff)
-                    for t, coeff in chain.items()
+                    for t, coeff in chain.coeffs
                 ],
             )
 

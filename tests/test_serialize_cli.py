@@ -8,9 +8,19 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steiner_lab import Chain, DirComplex, c_delta, identity_morphism
+from steiner_lab import (
+    Chain,
+    DirComplex,
+    bisimplicial_comparison,
+    c_delta,
+    enumerate_cells,
+    identity_morphism,
+    nerve,
+)
 from steiner_lab.cli import run
+from steiner_lab.nerves import nerve_map
 from steiner_lab.serialize import (
+    cell_to_json,
     complex_from_json,
     complex_to_json,
     dumps,
@@ -59,6 +69,11 @@ def identity_file(tmp_path):
 def test_cli_validate(triangle_file, capsys):
     assert run(["adc", "validate", triangle_file]) == 0
     assert capsys.readouterr().out.strip() == "OK"
+
+
+def test_cli_validate_json(triangle_file, capsys):
+    assert run(["adc", "validate", triangle_file, "--json"]) == 0
+    assert capsys.readouterr().out == dumps({"ok": True, "problems": []})
 
 
 def test_cli_validate_rejects_corruption(tmp_path, capsys):
@@ -211,6 +226,13 @@ def test_cli_cells_and_nerve(triangle_file, capsys):
     )
 
 
+def test_cli_cells_lists_the_enumerated_cells(triangle_file, capsys):
+    assert run(["cells", triangle_file, "--dim", "1"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    cells = [cell_to_json(c) for c in enumerate_cells(c_delta(2), 1).cells]
+    assert data["count"] == 7 and data["cells"] == cells
+
+
 def test_cli_nerve_marks_bounded_counts(tmp_path, triangle_file, capsys):
     from test_cells import two_loop_complex
 
@@ -279,6 +301,23 @@ def test_cli_bisimplicial(triangle_file, capsys):
     assert data["complete"] is True
 
 
+def test_cli_bisimplicial_over_a_morphism(tmp_path, capsys):
+    """S(u) of the nerve map of the face cDelta(1) -> cDelta(2) missing 1."""
+    f = c_of_map(face_map(2, 1))
+    edge, face = tmp_path / "edge.json", tmp_path / "face.json"
+    edge.write_text(dumps(complex_to_json(f.source)))
+    face.write_text(dumps(morphism_to_json(f)))
+    argv = ["bisimplicial", str(edge), "--morphism", str(face), "--cap-m", "1", "--cap-n", "0"]
+    assert run(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    S, _ = bisimplicial_comparison(nerve_map(f, nerve(f.source, 2), nerve(f.target, 2)), 1, 0)
+    assert data["sizes"] == [
+        {"m": m, "n": 0, "count": len(S.simplices(m, 0))} for m in (0, 1)
+    ]
+    assert [row["count"] for row in data["sizes"]] == [5, 12]  # over cDelta(2), not cDelta(1)
+    assert data["complete"] is S.complete is True
+
+
 def test_cli_verify_writes_report(tmp_path, capsys):
     report = tmp_path / "report.json"
     code = run(
@@ -306,6 +345,14 @@ def test_cli_export_dot(triangle_file, capsys):
     assert "digraph" in out and '"0,1,2"' in out
 
 
+def test_cli_export_dot_writes_the_printed_form(tmp_path, triangle_file, capsys):
+    assert run(["export-dot", triangle_file]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "triangle.dot"
+    assert run(["export-dot", triangle_file, "-o", str(out)]) == 0
+    assert capsys.readouterr().out == "" and out.read_text() == printed
+
+
 def test_cli_export_dot_escapes_token_names(tmp_path, capsys):
     """Every quoted ID decodes back to its token, in the rank lines and on
     both ends of each edge, whatever quotes, backslashes and newlines the
@@ -319,7 +366,7 @@ def test_cli_export_dot_escapes_token_names(tmp_path, capsys):
     path.write_text(dumps(complex_to_json(K)))
     assert run(["export-dot", str(path)]) == 0
     out = capsys.readouterr().out
-    edges = [(t, s) for t in K.tokens(1) for s, _ in K.diff_of(t).items()]
+    edges = [(t, s) for t in K.tokens(1) for s, _ in K.diff_of(t).coeffs]
     # header, one rank line per degree, one line per edge, closing brace
     assert len(out.splitlines()) == 2 + len(K.degrees()) + len(edges) + 1
     decode = {"\\": "\\", '"': '"', "n": "\n"}

@@ -75,13 +75,13 @@ def test_chains_of_identity():
 def test_degeneracy_collapses_repeated_tuples():
     f = c_of_map(MonotoneMap(2, 1, (0, 0, 1)))
     assert f.image_of("0,1").is_zero
-    assert f.image_of("1,2") == c_delta(1).unit_chain("0,1")
+    assert f.image_of("1,2") == Chain.unit(1, "0,1")
     assert f.image_of("0,1,2").is_zero
 
 
 def test_face_relabels():
     f = c_of_map(face_map(2, 0))
-    assert f.image_of("0,1") == c_delta(2).unit_chain("1,2")
+    assert f.image_of("0,1") == Chain.unit(1, "1,2")
 
 
 @pytest.mark.parametrize(
@@ -95,8 +95,7 @@ def test_simplex_chain_sizes(n, sizes):
 
 def test_triangle_differential():
     K = c_delta(2)
-    d = K.diff_of("0,1,2")
-    assert d.coeff("1,2") == 1 and d.coeff("0,2") == -1 and d.coeff("0,1") == 1
+    assert dict(K.diff_of("0,1,2").coeffs) == {"1,2": 1, "0,2": -1, "0,1": 1}
     assert all(K.aug_of(t) == 1 for t in K.tokens(0))
 
 
@@ -105,7 +104,7 @@ def test_map_images_share_the_simplex_tokens():
     for phi in all_monotone_maps(2, 3):
         f = c_of_map(phi)
         for t in f.source.tokens(1) + f.source.tokens(2):
-            for token, _ in f.image_of(t).items():
+            for token, _ in f.image_of(t).coeffs:
                 assert token is canonical[token]
     # every map into Delta(3) sends a simplex to one shared basis-chain object
     shared = {}

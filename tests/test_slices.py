@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import re
 
 import pytest
 
@@ -99,6 +101,42 @@ def test_slice_source_of_object_raises():
     objs, _ = enumerate_slice_cells(u, c, 0)
     with pytest.raises(ValueError):
         slice_source_iter(objs[0], -1)
+
+
+def _vertex_two_objects():
+    """The triangle slice's 0-cell over the vertex 1, and its two 0-cells
+    over the vertex 2: by the edge 0,2 and by the path 0,1 + 1,2."""
+    objs, _ = enumerate_slice_cells(*triangle_slice(), 0)
+    by_top = {z.t0[0].top: z for z in objs}
+    tops = ({"0,1": 1}, {"0,2": 1}, {"0,1": 1, "1,2": 1})
+    return tuple(by_top[Chain.make(1, top)] for top in tops)
+
+
+def test_slice_problems_name_each_broken_condition():
+    one, edge, path = _vertex_two_objects()
+    assert slice_problems(dataclasses.replace(edge, t1=path.t0)) == ["top coherence entries differ"]
+    assert slice_problems(dataclasses.replace(edge, c=Chain.unit(0, "1"))) == [
+        "source of alpha^0_1 is wrong", "source of alpha^1_1 is wrong"
+    ]
+    assert slice_problems(dataclasses.replace(edge, a=one.a)) == [
+        "target of alpha^0_1 is wrong", "target of alpha^1_1 is wrong"
+    ]
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(a=atom_cell(c_delta(1), "0")), "the a-cell is not a cell over the source"),
+        (dict(t0=()), "both coherence rows must have dim+1 entries"),
+        (dict(t0=(object_cell(c_delta(2), Chain.unit(0, "0")),)),
+         "coherence entry 0 is not a 1-cell"),
+    ],
+    ids=["a over another complex", "short coherence row", "coherence of the wrong dimension"],
+)
+def test_slice_problems_refuses_malformed_cells(change, message):
+    cell = _vertex_two_objects()[1]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        slice_problems(dataclasses.replace(cell, **change))
 
 
 def test_slice_identity_round_trip():
@@ -356,7 +394,7 @@ def test_vertical_composition_matches_pushout_route():
     images = {}
     for p in K.degrees():
         for token in K.tokens(p):
-            base = K.unit_chain(token)
+            base = Chain.unit(K.degree_of(token), token)
             images[tensor_token(INTERVAL_SRC, token)] = Q.right.apply(
                 tensor_chains(Chain.unit(0, INTERVAL_SRC), base)
             )
@@ -602,7 +640,7 @@ def test_fold_tensor_is_a_chain_map():
     images = {}
     for p in K.degrees():
         for token in K.tokens(p):
-            base = K.unit_chain(token)
+            base = Chain.unit(K.degree_of(token), token)
             images[tensor_token(INTERVAL_SRC, token)] = Q.right.apply(
                 tensor_chains(Chain.unit(0, INTERVAL_SRC), base)
             )

@@ -113,7 +113,7 @@ def test_peel_solver_matches_bounded_brute_force(K, targets):
         for target in [*brute, stray]:
             result = solve_boundary(K, p, target, 2)
             unbounded = solve_boundary(K, p, target).chains
-            assert result.complete == all(c <= 2 for z in unbounded for _, c in z.items())
+            assert result.complete == all(c <= 2 for z in unbounded for _, c in z.coeffs)
             want = sorted(brute.get(target, ()), key=lambda z: z.coeffs)
             assert result.chains == tuple(want)
             solved += 1
